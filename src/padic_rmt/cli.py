@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 bad configuration or usage, 2 numeric failure
 (a criterion failed, or precision escalation hit its cap), 3 I/O error.
-Identical command line and seed produce byte-identical output files; the
-only run-dependent value (a timestamp) is isolated in the metadata JSON.
+Identical command line and seed produce byte-identical trajectory CSVs
+and corner-dist output.  Two values are run-dependent: the timestamp in
+the simulate metadata JSON, and `runtime_seconds` in an experiment report
+written with --out; everything else in both files, the report's `counters`
+block included, is reproducible.
 """
 
 from __future__ import annotations

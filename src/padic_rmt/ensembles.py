@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .errors import DimensionMismatch
 from .padic import PadicMatrix, Prime, Signature, _p_int
@@ -344,9 +344,7 @@ def _mixture_pick(
     rng: RngStream,
     path: PathLike,
 ) -> Signature:
-    denom = 1
-    for _, prob in components:
-        denom = denom * prob.denominator // _gcd(denom, prob.denominator)
+    denom = lcm(*(prob.denominator for _, prob in components))
     x = rng.uniform_int(path, denom)
     acc = 0
     for lam, prob in components:
@@ -354,12 +352,6 @@ def _mixture_pick(
         if x < acc:
             return lam
     raise AssertionError("mixture probabilities did not cover [0,1)")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ensembles import CornerOfHaar, EnsembleSpec, HaarEntries
 from .errors import PadicRmtError
@@ -115,6 +116,7 @@ class ExperimentReport:
     criteria: list[dict]
     passed: bool
     notes: list[str] = field(default_factory=list)
+    counters: dict = field(default_factory=dict)
     runtime_seconds: float = 0.0
     schema_version: int = 1
 
@@ -128,6 +130,7 @@ class ExperimentReport:
             "criteria": self.criteria,
             "passed": self.passed,
             "notes": self.notes,
+            "counters": self.counters,
             "runtime_seconds": self.runtime_seconds,
         }
 
@@ -137,7 +140,19 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _terminal_stats(args) -> tuple:
+class TrialResult(NamedTuple):
+    """Terminal vectors, running max |lam - v| at the quarter, half and full
+    horizon, and the number of precision escalations of one trial."""
+
+    lam: tuple
+    v: tuple
+    max_gap_q1: int
+    max_gap_q2: int
+    max_gap: int
+    escalations: int
+
+
+def _terminal_stats(args) -> TrialResult:
     """One trial: terminal products vector plus running max |lam - v| at the
     quarter, half and full horizon."""
     source_key, k_max, master_seed, trial = args
@@ -147,7 +162,9 @@ def _terminal_stats(args) -> tuple:
     m = 0
     m_q1 = m_q2 = 0
     lam = v = None
-    for k, lam, v, _w, _sn, _mg, _i in iter_coupled_steps(source, k_max, rng):
+    escalations: list = []
+    steps = iter_coupled_steps(source, k_max, rng, escalation_log=escalations)
+    for k, lam, v, _w, _sn, _mg, _i in steps:
         diff = max(abs(a - b) for a, b in zip(lam, v))
         if diff > m:
             m = diff
@@ -155,7 +172,12 @@ def _terminal_stats(args) -> tuple:
             m_q1 = m
         if k == q2:
             m_q2 = m
-    return lam, v, m_q1, m_q2, m
+    return TrialResult(lam, v, m_q1, m_q2, m, len(escalations))
+
+
+def _counters(results: list[TrialResult]) -> dict:
+    """Run counters of a report: deterministic, and the same for any --jobs."""
+    return {"escalations": sum(r.escalations for r in results)}
 
 
 def _rebuild_source(source_key):
@@ -165,7 +187,7 @@ def _rebuild_source(source_key):
     return as_source(EnsembleSpec.from_json(payload))
 
 
-def _run_trials(config: ExperimentConfig) -> list[tuple]:
+def _run_trials(config: ExperimentConfig) -> list[TrialResult]:
     args = [
         (config.source_key(), config.k_max, config.master_seed, t)
         for t in range(config.trials)
@@ -281,6 +303,7 @@ def run_lln_experiment(config: ExperimentConfig) -> ExperimentReport:
         criteria=criteria,
         passed=all(c["passed"] for c in criteria),
         notes=notes,
+        counters=_counters(results),
         runtime_seconds=time.time() - t0,
     )
 
@@ -418,6 +441,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         criteria=criteria,
         passed=all(c["passed"] for c in criteria),
         notes=notes,
+        counters=_counters(results),
         runtime_seconds=time.time() - t0,
     )
 
@@ -430,10 +454,10 @@ def run_bounded_difference_experiment(config: ExperimentConfig) -> ExperimentRep
     t0 = time.time()
     results = _run_trials(config)
     trials = config.trials
-    stabilized = sum(1 for *_xs, m2, m3 in (r[2:] for r in results) if m3 == m2)
-    grew = sum(1 for *_xs, m2, m3 in (r[2:] for r in results) if m3 > m2)
+    stabilized = sum(1 for r in results if r.max_gap == r.max_gap_q2)
+    grew = sum(1 for r in results if r.max_gap > r.max_gap_q2)
     frac = stabilized / trials
-    maxima = [r[4] for r in results]
+    maxima = [r.max_gap for r in results]
     if config.expect_split:
         passed = frac >= 0.95
         name = "stabilized_fraction"
@@ -471,6 +495,7 @@ def run_bounded_difference_experiment(config: ExperimentConfig) -> ExperimentRep
         criteria=[crit],
         passed=passed,
         notes=notes,
+        counters=_counters(results),
         runtime_seconds=time.time() - t0,
     )
 

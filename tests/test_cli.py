@@ -216,6 +216,26 @@ class TestExperimentCommands:
         assert obj["kind"] == "lln" and obj["passed"]
         assert "PASS" in capsys.readouterr().out
 
+    def test_report_counts_escalations_like_simulate(self, tmp_path):
+        """The report's escalation counter equals the escalations simulate
+        lists for the same law, size and seed, for serial and pooled runs."""
+        spec = {"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        sim = tmp_path / "sim"
+        argv = ["simulate", "--config", str(spec_path), "--kmax", "1000"]
+        assert run(argv + ["--trials", "2", "--seed", "7", "--out", str(sim)]) == 0
+        listed = len(json.loads((sim / "metadata.json").read_text())["escalations"])
+        assert listed > 0
+        for jobs in (1, 2):
+            cfg = {"spec": spec, "k_max": 1000, "trials": 2, "master_seed": 7, "jobs": jobs}
+            cfg_path = tmp_path / f"lln{jobs}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            report = tmp_path / f"rep{jobs}.json"
+            run(["lln", "--config", str(cfg_path), "--out", str(report)])
+            obj = json.loads(report.read_text())
+            assert obj["counters"] == {"escalations": listed}, jobs
+
     def test_bounded_diff_counterexample_is_expected_fail(self, capsys):
         code = run(
             [

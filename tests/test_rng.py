@@ -1,9 +1,14 @@
 """Reproducibility and uniformity of the digit streams."""
 
+import hashlib
 from collections import Counter
+
+import pytest
 
 from padic_rmt.rng import RngStream
 from padic_rmt.stats import chi_square_gof
+
+GOLDEN_STREAM_SHA256 = "f2d491de88af5d1fea06bd31463e97eecb9fd2e413e83dab3a399e1fa3bb6230"
 
 
 def test_same_address_same_digits():
@@ -68,6 +73,8 @@ def test_uniform_int_bounds_and_determinism():
         seen.add(x)
     assert seen == set(range(12))
     assert rng.uniform_int(("b", 0), 12) == RngStream(9, 0).uniform_int(("b", 0), 12)
+    with pytest.raises(ValueError):
+        rng.uniform_int(("b", 0), 2**600)  # wider than a block: refused, never loops
 
 
 def test_unit_residue_is_unit():
@@ -76,3 +83,75 @@ def test_unit_residue_is_unit():
         u = rng.unit_residue(("u", i), 3, 6)
         assert u % 3 != 0
         assert 0 <= u < 3**6
+
+
+def _stream_outputs(fresh: bool):
+    """Every draw kind over primes, sizes and precisions that cover the
+    odd-p chunk widths, the p > 256 chunks, the per-entry fallback of a
+    slice too narrow for one chunk (p = 251 and 257 with 100 entries) and
+    precisions that cross block boundaries.  With `fresh`, every draw reads
+    a new stream object, so no block is shared between draws."""
+    shared = RngStream(2024, 3)
+
+    def stream():
+        return RngStream(2024, 3) if fresh else shared
+
+    for p in (2, 3, 5, 7, 11, 13, 251, 257):
+        for count in (1, 4, 9, 16, 100):
+            for precision in (1, 33, 70, 300):
+                for attempt in (0, 1):
+                    path = ("golden", p, count, precision)
+                    yield stream().sliced_first_digits(path, count, p, attempt)
+                    yield stream().sliced_residues(path, count, p, precision, attempt)
+                    yield stream().digits(path, precision, p, attempt)
+                    yield stream().residue(path, p, precision, attempt)
+            yield stream().uniform_int(("golden-int", p, count), p * count + 1)
+            yield stream().unit_residue(("golden-unit", p, count), p, 40)
+
+
+def test_stream_golden():
+    """The streams are a fixed function of the address: these outputs were
+    digested before the sliced draws were reworked and must never change."""
+    for fresh in (False, True):
+        h = hashlib.sha256()
+        for out in _stream_outputs(fresh):
+            h.update(repr(out).encode())
+            h.update(b";")
+        assert h.hexdigest() == GOLDEN_STREAM_SHA256, fresh
+
+
+def _count_hashes(monkeypatch) -> list:
+    """Record the (lane, block index) of every BLAKE2b call."""
+    seen = []
+    hash_block = RngStream.lane_block
+
+    def counted(self, lane, index):
+        seen.append((lane, index))
+        return hash_block(self, lane, index)
+
+    monkeypatch.setattr(RngStream, "lane_block", counted)
+    return seen
+
+
+def test_sliced_draw_hashes_each_block_once(monkeypatch):
+    seen = _count_hashes(monkeypatch)
+    rng = RngStream(11, 0)
+    path = ("h", 3)
+    rng.sliced_first_digits(path, 9, 3)
+    assert [i for _, i in seen] == [0]
+    first = list(seen)
+    rng.sliced_residues(path, 9, 3, 70)
+    later = seen[len(first):]
+    assert later and not set(later) & set(first)
+    assert len(set(seen)) == len(seen)
+
+
+def test_fixed_10_hashes_per_step(monkeypatch):
+    from padic_rmt.presets import build_preset
+    from padic_rmt.processes import as_source, iter_coupled_steps
+
+    seen = _count_hashes(monkeypatch)
+    steps = 2000
+    for _ in iter_coupled_steps(as_source(build_preset("fixed-10")), steps, RngStream(3, 0)):
+        pass
+    assert len(seen) / steps <= 5.5
