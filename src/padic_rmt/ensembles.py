@@ -128,28 +128,12 @@ class EnsembleSpec:
         return None
 
     def to_json(self) -> dict:
-        k = self.kind
-        if isinstance(k, FixedSN):
-            kind = {"FixedSN": [str(x) for x in k.lam]}
-        elif isinstance(k, SNMixture):
-            kind = {
-                "SNMixture": [
-                    [[str(x) for x in lam], str(prob)] for lam, prob in k.components
-                ]
-            }
-        elif isinstance(k, CornerOfHaar):
-            kind = {"CornerOfHaar": "infinity" if k.ambient is None else k.ambient}
-        elif isinstance(k, HaarEntries):
-            kind = {"HaarEntries": {}}
-        elif isinstance(k, GSpHaar):
-            kind = {"GSpHaar": k.half}
-        else:
-            kind = {"GSpFixedSN": [str(x) for x in k.lam]}
+        name, _cls, encode, _decode = _KIND_BY_CLASS[type(self.kind)]
         return {
             "p": self.p.p,
             "n": self.n,
             "precision_base": self.precision_base,
-            "kind": kind,
+            "kind": {name: encode(self.kind)},
         }
 
     @classmethod
@@ -158,34 +142,46 @@ class EnsembleSpec:
         if len(kind_obj) != 1:
             raise ValueError("kind must have exactly one entry")
         name, payload = next(iter(kind_obj.items()))
-        if name == "FixedSN":
-            kind: Kind = FixedSN(_sig(payload))
-        elif name == "SNMixture":
-            comps = tuple(
-                (_sig(lam), Fraction(prob)) for lam, prob in payload
-            )
-            kind = SNMixture(comps)
-        elif name == "CornerOfHaar":
-            amb = None if payload in ("infinity", None) else int(payload)
-            kind = CornerOfHaar(amb)
-        elif name == "HaarEntries":
-            kind = HaarEntries()
-        elif name == "GSpHaar":
-            kind = GSpHaar(int(payload))
-        elif name == "GSpFixedSN":
-            kind = GSpFixedSN(_sig(payload))
-        else:
+        if name not in _KIND_BY_NAME:
             raise ValueError(f"unknown ensemble kind {name!r}")
+        _name, _cls, _encode, decode = _KIND_BY_NAME[name]
         return cls(
             p=Prime(int(obj["p"])),
             n=int(obj["n"]),
-            kind=kind,
+            kind=decode(payload),
             precision_base=int(obj.get("precision_base", DEFAULT_PRECISION_BASE)),
         )
 
 
 def _sig(xs) -> Signature:
     return Signature(tuple(int(x) for x in xs))
+
+
+def _sig_json(lam: Signature) -> list[str]:
+    return [str(x) for x in lam]
+
+
+# one entry per kind: (JSON name, class, payload encoder, payload decoder)
+_KIND_CODECS = (
+    ("FixedSN", FixedSN, lambda k: _sig_json(k.lam), lambda x: FixedSN(_sig(x))),
+    (
+        "SNMixture",
+        SNMixture,
+        lambda k: [[_sig_json(lam), str(prob)] for lam, prob in k.components],
+        lambda x: SNMixture(tuple((_sig(lam), Fraction(prob)) for lam, prob in x)),
+    ),
+    (
+        "CornerOfHaar",
+        CornerOfHaar,
+        lambda k: "infinity" if k.ambient is None else k.ambient,
+        lambda x: CornerOfHaar(None if x in ("infinity", None) else int(x)),
+    ),
+    ("HaarEntries", HaarEntries, lambda k: {}, lambda x: HaarEntries()),
+    ("GSpHaar", GSpHaar, lambda k: k.half, lambda x: GSpHaar(int(x))),
+    ("GSpFixedSN", GSpFixedSN, lambda k: _sig_json(k.lam), lambda x: GSpFixedSN(_sig(x))),
+)
+_KIND_BY_CLASS = {codec[1]: codec for codec in _KIND_CODECS}
+_KIND_BY_NAME = {codec[0]: codec for codec in _KIND_CODECS}
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +323,29 @@ def sample_corner_of_haar(
     """Top n x m block of a Haar element of the ambient group; an infinite
     ambient size degenerates to i.i.d. uniform entries."""
     pi = _p_int(p)
-    if ambient in (None, inf):
-        flat = rng.sliced_residues(path, n * m, pi, precision)
-        grid = [flat[i * m : (i + 1) * m] for i in range(n)]
-        return PadicMatrix(pi, precision, 0, tuple(tuple(r) for r in grid))
-    ambient = int(ambient)
-    if not n <= m <= ambient:
+    ambient = None if ambient in (None, inf) else int(ambient)
+    if ambient is not None and not n <= m <= ambient:
         raise DimensionMismatch("need n <= m <= ambient")
-    big = _haar_gl_grid(ambient, pi, precision, rng, path)
-    grid = [row[:m] for row in big[:n]]
+    grid = _corner_grid(n, m, ambient, pi, precision, rng, path)
     return PadicMatrix(pi, precision, 0, tuple(tuple(r) for r in grid))
+
+
+def _corner_grid(
+    n: int,
+    m: int,
+    ambient: int | None,
+    p: int,
+    precision: int,
+    rng: RngStream,
+    path: PathLike,
+) -> list[list[int]]:
+    """Residues of the top n x m block of a Haar element of the ambient
+    group; ambient None means i.i.d. uniform entries."""
+    if ambient is None:
+        flat = rng.sliced_residues(path, n * m, p, precision)
+        return [flat[i * m : (i + 1) * m] for i in range(n)]
+    big = _haar_gl_grid(ambient, p, precision, rng, path)
+    return [row[:m] for row in big[:n]]
 
 
 def _mixture_pick(
@@ -387,14 +396,10 @@ def step_grid(
         N = precision or step_precision(spec, lam)
         grid, shift = _bi_invariant_grid(lam, n, n, p, N, rng, path)
         return grid, shift, N
-    if isinstance(k, CornerOfHaar) and k.ambient is not None:
-        N = precision or spec.precision_base
-        big = _haar_gl_grid(k.ambient, p, N, rng, path)
-        return [row[:n] for row in big[:n]], 0, N
     if isinstance(k, (CornerOfHaar, HaarEntries)):
         N = precision or spec.precision_base
-        flat = rng.sliced_residues(path, n * n, p, N)
-        return [flat[i * n : (i + 1) * n] for i in range(n)], 0, N
+        ambient = k.ambient if isinstance(k, CornerOfHaar) else None
+        return _corner_grid(n, n, ambient, p, N, rng, path), 0, N
     if isinstance(k, GSpHaar):
         from .symplectic import sample_haar_gsp
 

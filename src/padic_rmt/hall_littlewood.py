@@ -57,9 +57,6 @@ class UniPoly:
     def x(cls, power: int = 1, coeff=1) -> "UniPoly":
         return cls({power: Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs

@@ -210,15 +210,6 @@ class PadicMatrix:
         )
 
     @classmethod
-    def from_rationals(
-        cls,
-        entries: list[list[Rational]],
-        p: Prime | int,
-        precision: int,
-    ) -> "PadicMatrix":
-        return reduce(entries, p, precision)
-
-    @classmethod
     def identity(cls, n: int, p: Prime | int, precision: int) -> "PadicMatrix":
         pi = _p_int(p)
         res = tuple(
@@ -239,9 +230,6 @@ class PadicMatrix:
     def from_json(cls, obj: dict) -> "PadicMatrix":
         res = tuple(tuple(int(s) for s in row) for row in obj["entries"])
         return cls(int(obj["p"]), int(obj["precision"]), int(obj.get("shift", 0)), res)
-
-    def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
-        return matmul(self, other)
 
 
 def reduce(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ensembles import EnsembleSpec, draw_step_matrix, step_grid
-from .errors import PrecisionExhausted
+from .errors import ConstraintViolated, InequalityViolated, PrecisionExhausted
 from .padic import (
     IntVector,
     PadicMatrix,
@@ -143,68 +143,54 @@ class Trajectory:
     def k_max(self) -> int:
         return len(self.steps)
 
-    def lam_series(self) -> list[IntVector]:
-        return [(0,) * self.n] + [s.lam.parts for s in self.steps]
-
-    def v_series(self) -> list[IntVector]:
-        return [(0,) * self.n] + [s.v for s in self.steps]
-
-    def sn_last_series(self) -> list[int]:
-        return [s.sn_last for s in self.steps]
-
 
 # ---------------------------------------------------------------------------
 # Profile-based exact updates
 # ---------------------------------------------------------------------------
 
 
-def _masks_by_size(n: int) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, 1 << n):
-        out[bin(mask).count("1")].append(mask)
-    return out
+def _bottom_rows(n: int, j: int) -> list[list[tuple[int, int]]]:
+    """The nonempty subsets of the bottom j of n rows, grouped by size, as
+    (submask, row mask) pairs: bit b of the submask picks the b-th of those
+    rows, and the row mask names the same rows among all n."""
+    table: list[list[tuple[int, int]]] = [[] for _ in range(j + 1)]
+    for mask in range(1, 1 << j):
+        table[mask.bit_count()].append((mask, mask << (n - j)))
+    return table
 
 
 def _sn_scaled_rows(
     dparts: list[int],
     g: list[int | None],
     shift: int,
-    row_ids: list[int],
+    rows: list[list[tuple[int, int]]],
 ) -> list[int]:
-    """Singular numbers (non-increasing) of diag(p^dparts) * (rows row_ids),
-    from the full-matrix profile g; dparts[t] scales row row_ids[t]."""
-    size = len(row_ids)
-    # dsum over submasks of the selected rows
-    sub = [0]
-    masks: list[list[int]] = [[] for _ in range(size + 1)]
+    """Singular numbers (non-increasing) of diag(p^dparts) * (the rows of
+    the table `rows`, see _bottom_rows), from the step matrix's profile g
+    and shift; dparts[t] scales the t-th of those rows."""
+    size = len(dparts)
+    # dsum over the submasks of the selected rows
+    sub = [0] * (1 << size)
     for mask in range(1, 1 << size):
-        low = (mask & -mask).bit_length() - 1
-        sub.append(sub[mask & (mask - 1)] + dparts[low])
-        full_mask = 0
-        m = mask
-        while m:
-            b = (m & -m).bit_length() - 1
-            full_mask |= 1 << row_ids[b]
-            m &= m - 1
-        masks[bin(mask).count("1")].append((mask, full_mask))
-    parts: list[int] = []
+        sub[mask] = sub[mask & (mask - 1)] + dparts[(mask & -mask).bit_length() - 1]
+    parts = [0] * size
     s_prev = 0
     for c in range(1, size + 1):
         best = None
-        for mask, full_mask in masks[c]:
-            gv = g[full_mask]
+        for mask, row_mask in rows[c]:
+            gv = g[row_mask]
             if gv is None:
                 continue
             val = sub[mask] + gv
             if best is None or val < best:
                 best = val
         if best is None:
-            raise PrecisionExhausted("no certified minor for a required level")
-        parts.append(best - s_prev + shift)
+            raise PrecisionExhausted(f"no certified minor on {c} of the rows")
+        parts[size - c] = best - s_prev + shift
         s_prev = best
-    parts.reverse()
-    for i in range(len(parts) - 1):
-        assert parts[i] >= parts[i + 1], "scaled minor sums are not concave"
+    for i in range(size - 1):
+        if parts[i] < parts[i + 1]:
+            raise InequalityViolated(f"scaled minor sums are not concave: {parts}")
     return parts
 
 
@@ -220,17 +206,17 @@ def iter_coupled_steps(
     lam, v, w are tuples of length n; margins_prev are the n-1 margin values
     of the transition into step k; interp is the tuple of all interpolation
     levels (level j copies the corner-sum sequence above its bottom j
-    entries) or None.
+    entries) or None.  The bottom of level n evolves by the product
+    recursion on all rows, so level n is the product sequence itself.
     """
     n = source.n
-    by_size = _masks_by_size(n)
+    rows = [_bottom_rows(n, j) for j in range(n + 1)]  # rows[n]: all rows
     suffix_mask = [0] * (n + 2)
     for i in range(n, 0, -1):
         suffix_mask[i] = suffix_mask[i + 1] | (1 << (i - 1))
-    full = (1 << n) - 1
     lam = [0] * n
     v = [0] * n
-    bottoms = [[0] * j for j in range(n + 1)]  # bottoms[j]: levels 1..n
+    bottoms = [[0] * j for j in range(n)]  # bottoms[j]: levels 1..n-1
     for k in range(1, k_max + 1):
         g, shift, esc = source.profile(k, rng)
         if esc and escalation_log is not None:
@@ -240,25 +226,8 @@ def iter_coupled_steps(
             g[suffix_mask[i]] + (n - i + 1) * shift for i in range(1, n + 1)
         )
         sn_last = min(g[1 << r] for r in range(n)) + shift
-        # product-sequence update: minors of diag(p^lam) * A
-        dsum = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            dsum[mask] = dsum[mask & (mask - 1)] + lam[(mask & -mask).bit_length() - 1]
-        new_lam = [0] * n
-        s_prev = 0
-        for c in range(1, n + 1):
-            best = None
-            for mask in by_size[c]:
-                gv = g[mask]
-                if gv is None:
-                    continue
-                val = dsum[mask] + gv
-                if best is None or val < best:
-                    best = val
-            if best is None:
-                raise PrecisionExhausted(f"step {k}: no certified level-{c} minor")
-            new_lam[n - c] = best - s_prev + shift
-            s_prev = best
+        # product-sequence update: singular numbers of diag(p^lam) * A
+        new_lam = _sn_scaled_rows(lam, g, shift, rows[n])
         # corner-sum update and the margins of this transition
         new_v = list(v)
         for i in range(n):
@@ -270,16 +239,18 @@ def iter_coupled_steps(
         interp = None
         if with_interpolation:
             levels = []
-            for j in range(1, n + 1):
-                row_ids = list(range(n - j, n))
-                bottoms[j] = _sn_scaled_rows(bottoms[j], g, shift, row_ids)
+            for j in range(1, n):
+                bottoms[j] = _sn_scaled_rows(bottoms[j], g, shift, rows[j])
                 levels.append(tuple(new_v[: n - j]) + tuple(bottoms[j]))
+            levels.append(tuple(new_lam))
             interp = tuple(levels)
-            assert list(interp[0]) == new_v, "level 1 must equal the corner sums"
-            assert list(interp[n - 1]) == new_lam, "level n must equal the products"
+            if list(interp[0]) != new_v:
+                raise ConstraintViolated(
+                    f"step {k}: interpolation level 1 {interp[0]} is not the corner sums {new_v}"
+                )
         lam, v = new_lam, new_v
-        total = sum(lam)
-        assert total == sum(v), "weight conservation violated"
+        if sum(lam) != sum(v):
+            raise ConstraintViolated(f"step {k}: weight conservation violated")
         yield k, tuple(lam), tuple(v), w, sn_last, margins, interp
 
 

@@ -240,7 +240,9 @@ class RngStream:
 
     def _slice_bits(self, count: int, p: int) -> int:
         if p == 2:
-            return max(1, _BLOCK_BITS // count)
+            if count > _BLOCK_BITS:
+                raise ValueError("a sliced p = 2 draw has at most one entry per block bit")
+            return _BLOCK_BITS // count
         width = (p - 1).bit_length()
         chunks = (_BLOCK_BITS // width) // count
         return chunks * width  # 0 means: fall back to per-entry lanes

@@ -71,10 +71,13 @@ class ExperimentConfig:
         return ("spec", self.spec.to_json())
 
     def build_source(self):
-        kind, payload = self.source_key()
-        if kind == "preset":
-            return as_source(build_preset(payload))
-        return as_source(EnsembleSpec.from_json(payload))
+        return source_from_key(self.source_key())
+
+    def ensemble_spec(self) -> EnsembleSpec | None:
+        """The EnsembleSpec of the step law, or None for a deterministic source."""
+        if self.spec is not None:
+            return self.spec
+        return getattr(self.build_source(), "spec", None)
 
     def to_json(self) -> dict:
         out = {
@@ -140,6 +143,14 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def source_from_key(source_key):
+    """The step source an ExperimentConfig.source_key describes."""
+    kind, payload = source_key
+    if kind == "preset":
+        return as_source(build_preset(payload))
+    return as_source(EnsembleSpec.from_json(payload))
+
+
 class TrialResult(NamedTuple):
     """Terminal vectors, running max |lam - v| at the quarter, half and full
     horizon, and the number of precision escalations of one trial."""
@@ -156,7 +167,7 @@ def _terminal_stats(args) -> TrialResult:
     """One trial: terminal products vector plus running max |lam - v| at the
     quarter, half and full horizon."""
     source_key, k_max, master_seed, trial = args
-    source = _rebuild_source(source_key)
+    source = source_from_key(source_key)
     rng = RngStream(master_seed, trial)
     q1, q2 = k_max // 4, k_max // 2
     m = 0
@@ -178,13 +189,6 @@ def _terminal_stats(args) -> TrialResult:
 def _counters(results: list[TrialResult]) -> dict:
     """Run counters of a report: deterministic, and the same for any --jobs."""
     return {"escalations": sum(r.escalations for r in results)}
-
-
-def _rebuild_source(source_key):
-    kind, payload = source_key
-    if kind == "preset":
-        return as_source(build_preset(payload))
-    return as_source(EnsembleSpec.from_json(payload))
 
 
 def _run_trials(config: ExperimentConfig) -> list[TrialResult]:
@@ -256,8 +260,8 @@ def run_lln_experiment(config: ExperimentConfig) -> ExperimentReport:
     for i in range(n):
         var = Fraction(squares[i], trials) - Fraction(sums[i], trials) ** 2
         stderr.append(math.sqrt(max(0.0, float(var)) / trials) / k)
-    spec = config.spec if config.spec is not None else None
-    pred = exact_lln_prediction(spec) if spec is not None else _preset_lln(config)
+    spec = config.ensemble_spec()
+    pred = exact_lln_prediction(spec) if spec is not None else None
     tol = config.tolerances.lln_abs
     criteria = []
     if pred is not None:
@@ -308,24 +312,13 @@ def run_lln_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _preset_lln(config: ExperimentConfig):
-    source = config.build_source()
-    spec = getattr(source, "spec", None)
-    if isinstance(spec, EnsembleSpec):
-        return exact_lln_prediction(spec)
-    return None
-
-
 def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Empirical covariance of (lam(k) - k * limit)/sqrt(k) against the exact
     transformed corner-weight covariance, plus moment-based normality bands
     for every coordinate with a nonzero limiting variance."""
     t0 = time.time()
-    spec = config.spec
-    if spec is None:
-        source = config.build_source()
-        spec = getattr(source, "spec", None)
-    target = exact_clt_target(spec) if isinstance(spec, EnsembleSpec) else None
+    spec = config.ensemble_spec()
+    target = exact_clt_target(spec) if spec is not None else None
     if target is None:
         raise PadicRmtError("the fluctuation target needs a finite-support law")
     mean, _sigma, lsig = target

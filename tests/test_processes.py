@@ -1,11 +1,19 @@
 """The coupled product / corner-sum dynamics."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padic_rmt
 from padic_rmt.ensembles import (
+    CornerOfHaar,
     EnsembleSpec,
     FixedSN,
     HaarEntries,
@@ -17,18 +25,27 @@ from padic_rmt.processes import (
     CounterexampleSource,
     EnsembleSource,
     InterpolatingState,
+    as_source,
     check_equal_difference,
     corner_weights,
     interpolation_step,
+    iter_coupled_steps,
     literal_product_sn,
     lyapunov_estimates,
     product_step,
     run_coupled_trajectory,
     split_margins,
 )
+from padic_rmt.presets import build_preset, preset_names
 from padic_rmt.rng import RngStream
 
 F = Fraction
+
+SPEC_PRESETS = [name for name in preset_names() if name != "paper-counterexample"]
+
+# SHA-256 over the engine's rows, with interpolation, and escalations for
+# every preset at seed (2024, 7); see test_engine_golden
+ENGINE_GOLDEN_SHA256 = "ed28af642b5ead2a43eb8e9d3df0f366fc53c780f2fa47bc50601f50dffdf057"
 
 
 def fixed_spec(parts, p=2):
@@ -165,16 +182,69 @@ class TestTrajectory:
                     key,
                 )
 
-    def test_deterministic_across_precision_bases(self):
+    @pytest.mark.parametrize("preset", SPEC_PRESETS)
+    def test_deterministic_across_precision_bases(self, preset):
         # escalation redraws the same matrices with more digits, so the
-        # trajectory cannot depend on the starting precision
-        lo = EnsembleSpec(Prime(2), 2, HaarEntries(), precision_base=4)
-        hi = EnsembleSpec(Prime(2), 2, HaarEntries(), precision_base=48)
-        a = run_coupled_trajectory(lo, 80, RngStream(57, 0))
-        b = run_coupled_trajectory(hi, 80, RngStream(57, 0))
-        assert [s.lam for s in a.steps] == [s.lam for s in b.steps]
-        assert [s.v for s in a.steps] == [s.v for s in b.steps]
-        assert a.escalations and not b.escalations
+        # trajectory (lam, v, w, sn_last, margins and every interpolation
+        # level) cannot depend on the starting precision
+        spec = build_preset(preset)
+        lo = replace(spec, precision_base=4)
+        hi = replace(spec, precision_base=48)
+        a = run_coupled_trajectory(lo, 80, RngStream(57, 0), with_interpolation=True)
+        b = run_coupled_trajectory(hi, 80, RngStream(57, 0), with_interpolation=True)
+        assert a.steps == b.steps
+        assert not b.escalations
+        if isinstance(spec.kind, (CornerOfHaar, HaarEntries)):
+            # the entry laws reach the escalation path at base 4
+            assert a.escalations
+
+    def test_engine_golden(self):
+        """The rows iter_coupled_steps yields are a fixed function of (seed,
+        trial, step law): this digest must not change without a stream
+        version."""
+        h = hashlib.sha256()
+        for name in preset_names():
+            if name.startswith("gsp4-"):
+                k_max = 60
+            elif name == "paper-counterexample":
+                k_max = 40
+            else:
+                k_max = 300
+            log = []
+            source = as_source(build_preset(name))
+            for row in iter_coupled_steps(source, k_max, RngStream(2024, 7), True, log):
+                h.update(repr(row).encode())
+            h.update(repr((name, log)).encode())
+        assert h.hexdigest() == ENGINE_GOLDEN_SHA256
+
+    def test_invariants_raise_typed_errors_under_optimize(self):
+        # a source whose profile is not concave (single rows at valuation 3,
+        # the whole matrix at 2) must fail loudly even with asserts stripped
+        child = "\n".join(
+            [
+                "from padic_rmt.errors import InequalityViolated",
+                "from padic_rmt.processes import iter_coupled_steps",
+                "class Skewed:",
+                "    n, p = 2, 2",
+                "    def profile(self, k, rng):",
+                "        return [None, 3, 3, 2], 0, []",
+                "assert False, 'asserts are live: not running under -O'",
+                "try:",
+                "    list(iter_coupled_steps(Skewed(), 3, None))",
+                "except InequalityViolated as exc:",
+                "    print('raised', type(exc).__name__)",
+            ]
+        )
+        src = str(Path(padic_rmt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised InequalityViolated"
 
     def test_reproducible(self):
         spec = fixed_spec((1, 0))

@@ -77,6 +77,17 @@ def test_uniform_int_bounds_and_determinism():
         rng.uniform_int(("b", 0), 2**600)  # wider than a block: refused, never loops
 
 
+def test_sliced_p2_draw_wider_than_a_block_is_refused():
+    # a p = 2 slice is at least one bit, so a block holds at most 512
+    # entries; more used to read zeros past the block's end
+    rng = RngStream(1, 0)
+    with pytest.raises(ValueError):
+        rng.sliced_residues(("x",), 600, 2, 8)
+    with pytest.raises(ValueError):
+        rng.sliced_first_digits(("x",), 513, 2)
+    assert len(rng.sliced_residues(("x",), 512, 2, 8)) == 512
+
+
 def test_unit_residue_is_unit():
     rng = RngStream(10, 0)
     for i in range(100):
