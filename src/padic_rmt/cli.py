@@ -16,11 +16,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from .ensembles import EnsembleSpec
-from .errors import PadicRmtError, PrecisionExhausted
+from .errors import BadConfiguration, PadicRmtError, PrecisionExhausted
 from .hall_littlewood import (
     corner_distribution,
     hl_p_eval,
@@ -224,21 +225,20 @@ def cmd_hl_eval(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     if args.config:
-        obj = _load_json(args.config)
-        cfg = ExperimentConfig.from_json(obj)
-    else:
-        if not args.preset:
-            raise SystemExit(_fail(1, "give --preset or --config"))
+        cfg = ExperimentConfig.from_json(_load_json(args.config))
+    elif args.preset:
         cfg = ExperimentConfig(
             preset=args.preset,
-            k_max=args.kmax,
-            trials=args.trials,
             master_seed=_seed_from(args),
             tolerances=Tolerances(),
-            jobs=args.jobs,
+            jobs=os.cpu_count() or 1,
             expect_split=(args.preset != "paper-counterexample"),
         )
-    return cfg
+    else:
+        raise SystemExit(_fail(1, "give --preset or --config"))
+    # flags given on the command line override the file's values
+    given = {"k_max": args.kmax, "trials": args.trials, "jobs": args.jobs, "master_seed": args.seed}
+    return replace(cfg, **{key: val for key, val in given.items() if val is not None})
 
 
 def _run_experiment(args, runner, kind: str) -> int:
@@ -248,6 +248,8 @@ def _run_experiment(args, runner, kind: str) -> int:
         return _fail(1, str(exc))
     try:
         report = runner(cfg)
+    except BadConfiguration as exc:
+        return _fail(1, str(exc))
     except PadicRmtError as exc:
         return _fail(2, str(exc))
     text = json.dumps(report.to_json(), indent=2)
@@ -282,22 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, trials_default: int, kmax_default: int):
+    def add_common(sp, trials_default, kmax_default, jobs_default):
         sp.add_argument("--preset", choices=preset_names(), help="named step law")
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="master seed (or PADIC_RMT_SEED)")
         sp.add_argument("--kmax", type=int, default=kmax_default)
         sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--jobs", type=int, default=jobs_default)
 
     sp = sub.add_parser("simulate", help="write coupled-trajectory CSV files")
-    add_common(sp, 1, 200)
+    add_common(sp, 1, 200, os.cpu_count() or 1)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--with-interpolation", action="store_true")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("gsp-simulate", help="simulate a symplectic-similitude ensemble")
-    add_common(sp, 1, 200)
+    add_common(sp, 1, 200, os.cpu_count() or 1)
     sp.add_argument("--out", required=True)
     sp.add_argument("--with-interpolation", action="store_true")
     sp.set_defaults(func=lambda a: cmd_simulate(a, symplectic=True))
@@ -322,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounded-diff", run_bounded_difference_experiment),
     ):
         sp = sub.add_parser(name, help=f"run the {name} experiment")
-        add_common(sp, 50, 1000)
+        # unset flags are None: the config file's values, or ExperimentConfig's defaults
+        add_common(sp, None, None, None)
         sp.add_argument("--out", help="write the report JSON here")
         sp.set_defaults(func=lambda a, r=runner, n=name: _run_experiment(a, r, n))
 

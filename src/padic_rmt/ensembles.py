@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
-from .errors import DimensionMismatch
+from .errors import ConstraintViolated, DimensionMismatch
 from .padic import PadicMatrix, Prime, Signature, _p_int
 from .rng import PathLike, RngStream
 
@@ -254,6 +254,31 @@ def sample_haar_gl(
     return PadicMatrix(pi, precision, 0, tuple(tuple(row) for row in grid))
 
 
+def _scale_columns(
+    u: list[list[int]], lam: Signature, p: int, precision: int
+) -> tuple[list[list[int]], int]:
+    """U * diag(p^(lam - shift)) mod p^precision and its shift, the
+    smallest part of lam when negative (else 0)."""
+    shift = min(0, lam[len(lam) - 1])
+    mod = p**precision
+    scale = [p ** (x - shift) for x in lam]
+    return [[x * s % mod for x, s in zip(row, scale)] for row in u], shift
+
+
+def _mul_grids(a: list[list[int]], b, mod: int) -> list[list[int]]:
+    """The product of two residue grids mod `mod`."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % mod for col in cols] for row in a]
+
+
+def _left_grid(
+    lam: Signature, p: int, precision: int, rng: RngStream, path: PathLike
+) -> tuple[list[list[int]], int]:
+    """Grid and shift of U * diag(p^lam) with Haar U drawn from path + ("U",)."""
+    u = _haar_gl_grid(len(lam), p, precision, rng, path + ("U",))
+    return _scale_columns(u, lam, p, precision)
+
+
 def _bi_invariant_grid(
     lam: Signature,
     rows: int,
@@ -266,31 +291,10 @@ def _bi_invariant_grid(
     """Grid and shift of U * diag(p^lam) * V with independent Haar U, V."""
     if rows > cols or len(lam) != rows:
         raise DimensionMismatch("need len(lam) == rows <= cols")
-    shift = min(0, lam[len(lam) - 1])
-    u = _haar_gl_grid(rows, p, precision, rng, path + ("U",))
+    ud, shift = _left_grid(lam, p, precision, rng, path)
     v = _haar_gl_grid(cols, p, precision, rng, path + ("V",))
-    mod = p**precision
-    if rows == cols == 2:
-        s0, s1 = p ** (lam[0] - shift), p ** (lam[1] - shift)
-        (a, b), (c, d) = u
-        (v00, v01), (v10, v11) = v
-        v00 *= s0
-        v01 *= s0
-        v10 *= s1
-        v11 *= s1
-        return [
-            [(a * v00 + b * v10) % mod, (a * v01 + b * v11) % mod],
-            [(c * v00 + d * v10) % mod, (c * v01 + d * v11) % mod],
-        ], shift
-    # diag(p^(lam-shift)) * V scales the first `rows` rows of V
-    dv = [
-        [x * p ** (lam[i] - shift) % mod for x in v[i]] for i in range(rows)
-    ]
-    grid = [
-        [sum(u[i][k] * dv[k][j] for k in range(rows)) % mod for j in range(cols)]
-        for i in range(rows)
-    ]
-    return grid, shift
+    # the rectangular diag(p^lam) keeps only the first `rows` rows of V
+    return _mul_grids(ud, v[:rows], p**precision), shift
 
 
 def sample_bi_invariant(
@@ -368,11 +372,27 @@ def _mixture_pick(
 # ---------------------------------------------------------------------------
 
 
-def step_precision(spec: EnsembleSpec, lam: Signature | None = None) -> int:
-    """Precision rule: signature spread (when known) plus the base margin."""
-    if lam is not None:
-        return lam.spread() + spec.precision_base
-    return spec.precision_base
+def step_precision(spec: EnsembleSpec, lam: Signature) -> int:
+    """Precision rule: signature spread plus the base margin."""
+    return lam.spread() + spec.precision_base
+
+
+def step_signature(
+    spec: EnsembleSpec, rng: RngStream, step: int = 0
+) -> Signature | None:
+    """Singular numbers of step `step` (a mixture draws its pick here), or
+    None for the corner and i.i.d.-entries laws, whose singular numbers are
+    random."""
+    k = spec.kind
+    if isinstance(k, (FixedSN, GSpFixedSN)):
+        return k.lam
+    if isinstance(k, SNMixture):
+        return _mixture_pick(k.components, rng, ("step", step, "mix"))
+    if isinstance(k, GSpHaar):
+        return Signature.zeros(spec.n)
+    if isinstance(k, (CornerOfHaar, HaarEntries)):
+        return None
+    raise TypeError(f"unknown kind {k!r}")
 
 
 def step_grid(
@@ -381,21 +401,17 @@ def step_grid(
     step: int = 0,
     precision: int | None = None,
 ) -> tuple[list[list[int]], int, int]:
-    """Raw (grid, shift, precision) of one step draw; the lean path used by
-    the trajectory engine."""
+    """The engine's draw as raw (grid, shift, precision).
+
+    For the bi-invariant kinds this is the left factor U * diag(p^lam) of
+    the step matrix U * diag(p^lam) * V: by Cauchy-Binet, right
+    multiplication by V in the integral group changes no row-subset minor
+    valuation, so both have the profile the engine reads.  The other kinds
+    give the whole step matrix.  draw_step_matrix adds the right factor."""
     p = spec.p.p
     n = spec.n
     path: PathLike = ("step", step)
     k = spec.kind
-    if isinstance(k, FixedSN):
-        N = precision or step_precision(spec, k.lam)
-        grid, shift = _bi_invariant_grid(k.lam, n, n, p, N, rng, path)
-        return grid, shift, N
-    if isinstance(k, SNMixture):
-        lam = _mixture_pick(k.components, rng, path + ("mix",))
-        N = precision or step_precision(spec, lam)
-        grid, shift = _bi_invariant_grid(lam, n, n, p, N, rng, path)
-        return grid, shift, N
     if isinstance(k, (CornerOfHaar, HaarEntries)):
         N = precision or spec.precision_base
         ambient = k.ambient if isinstance(k, CornerOfHaar) else None
@@ -406,13 +422,18 @@ def step_grid(
         N = precision or spec.precision_base
         mat = sample_haar_gsp(k.half, p, N, rng, path).matrix
         return [list(r) for r in mat.residues], mat.shift, N
+    lam = step_signature(spec, rng, step)
+    N = precision or step_precision(spec, lam)
     if isinstance(k, GSpFixedSN):
-        from .symplectic import sample_bi_invariant_gsp
+        from .symplectic import is_gsp, sample_haar_gsp
 
-        N = precision or step_precision(spec, k.lam)
-        mat = sample_bi_invariant_gsp(k.lam, p, N, rng, path).matrix
-        return [list(r) for r in mat.residues], mat.shift, N
-    raise TypeError(f"unknown kind {k!r}")
+        u = sample_haar_gsp(n // 2, p, N, rng, path + ("U",)).matrix
+        grid, shift = _scale_columns(u.residues, lam, p, N)
+        if is_gsp(PadicMatrix(p, N, shift, tuple(tuple(r) for r in grid))) is None:
+            raise ConstraintViolated("scaled left factor left the similitude group")
+        return grid, shift, N
+    grid, shift = _left_grid(lam, p, N, rng, path)
+    return grid, shift, N
 
 
 def draw_step_matrix(
@@ -425,6 +446,15 @@ def draw_step_matrix(
     precision) always return the same matrix; a larger precision returns the
     same matrix carried to more digits."""
     grid, shift, n_used = step_grid(spec, rng, step, precision)
-    return PadicMatrix(
-        spec.p.p, n_used, shift, tuple(tuple(r) for r in grid)
-    )
+    p = spec.p.p
+    k = spec.kind
+    path: PathLike = ("step", step, "V")
+    if isinstance(k, (FixedSN, SNMixture)):
+        v = _haar_gl_grid(spec.n, p, n_used, rng, path)
+        grid = _mul_grids(grid, v, p**n_used)
+    elif isinstance(k, GSpFixedSN):
+        from .symplectic import sample_haar_gsp
+
+        v = sample_haar_gsp(spec.n // 2, p, n_used, rng, path).matrix
+        grid = _mul_grids(grid, v.residues, p**n_used)
+    return PadicMatrix(p, n_used, shift, tuple(tuple(r) for r in grid))

@@ -10,6 +10,10 @@ class PadicRmtError(Exception):
     """Base class for all library errors."""
 
 
+class BadConfiguration(PadicRmtError):
+    """The requested computation does not apply to the configured law."""
+
+
 class DimensionMismatch(PadicRmtError):
     """Matrix shapes are incompatible for the requested operation."""
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .errors import (
+    ConstraintViolated,
     InequalityViolated,
     KernelPole,
     NotInterlacing,
@@ -291,7 +292,8 @@ def hl_skew_eval(
     if len(lam) == len(mu):
         return ONE if lam == mu else ZERO
     val = _skew_value(lam, mu, [Fraction(x) for x in points], Fraction(t))
-    assert isinstance(val, Fraction)
+    if not isinstance(val, Fraction):
+        raise ConstraintViolated(f"skew value at concrete points is not rational: {val!r}")
     return val
 
 
@@ -412,9 +414,8 @@ def corner_distribution(mu_top: Signature, t: Fraction) -> SignatureDistribution
         mass = psi(mu_top, nu, t) * principal_specialization(nu, t, t) / denom
         if mass:
             probs[nu] = mass
-    dist = SignatureDistribution(probs)
-    assert dist.total == 1
-    return dist
+    # the constructor refuses masses that do not sum to 1
+    return SignatureDistribution(probs)
 
 
 def joint_corner_distribution(
@@ -440,7 +441,8 @@ def joint_corner_distribution(
         return {(): ONE}
     rec((), mu1, ONE)
     total = sum(out.values(), ZERO)
-    assert total == 1, f"joint corner masses sum to {total}"
+    if total != 1:
+        raise ConstraintViolated(f"joint corner masses sum to {total}")
     return out
 
 
@@ -469,9 +471,8 @@ def kth_corner_distribution(
         mass = skew * principal_specialization(nu, t ** (k - 1), t) / denom
         if mass:
             probs[nu] = mass
-    dist = SignatureDistribution(probs)
-    assert dist.total == 1
-    return dist
+    # the constructor refuses masses that do not sum to 1
+    return SignatureDistribution(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     DenominatorNotInvertible,
     DimensionMismatch,
     IndexOutOfRange,
+    InequalityViolated,
     PrecisionExhausted,
     SingularMatrix,
 )
@@ -246,7 +247,6 @@ def reduce(
     fracs = [[Fraction(x) for x in row] for row in entries]
     vals = [valuation(x, pi) for row in fracs for x in row if x != 0]
     shift = min(vals) if vals else 0
-    assert shift != INFINITY
     mod = pi**precision
     res: list[tuple[int, ...]] = []
     zeros: set[tuple[int, int]] = set()
@@ -621,5 +621,6 @@ def singular_numbers_via_minors(a: PadicMatrix) -> Signature:
     parts = [sums[k] - sums[k - 1] for k in range(1, rows + 1)]
     parts.reverse()
     for i in range(rows - 1):
-        assert parts[i] >= parts[i + 1], "minor sums are not concave"
+        if parts[i] < parts[i + 1]:
+            raise InequalityViolated(f"minor sums are not concave: {parts}")
     return Signature(tuple(x + a.shift for x in parts))

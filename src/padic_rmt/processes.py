@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ensembles import EnsembleSpec, draw_step_matrix, step_grid
+from .ensembles import EnsembleSpec, draw_step_matrix, step_grid, step_signature
 from .errors import ConstraintViolated, InequalityViolated, PrecisionExhausted
 from .padic import (
     IntVector,
@@ -43,13 +43,17 @@ MAX_PRECISION_DOUBLINGS = 6
 
 
 class EnsembleSource:
-    """Draws step matrices from an EnsembleSpec and certifies their profiles,
-    doubling the precision (same matrix, more digits) when needed."""
+    """Profiles of the steps of an EnsembleSpec: draws the engine's factor
+    of each step (see step_grid) and certifies its profile, doubling the
+    precision (same matrix, more digits) when needed.  A step whose
+    signature has no spread is a unit and needs no draw."""
 
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
         self.n = spec.n
         self.p = spec.p.p
+        # profile of any element of the integral invertible group
+        self.unit_profile: list[int | None] = [None] + [0] * ((1 << self.n) - 1)
 
     def describe(self) -> dict:
         return {"ensemble": self.spec.to_json()}
@@ -60,6 +64,10 @@ class EnsembleSource:
     def profile(
         self, k: int, rng: RngStream
     ) -> tuple[list[int | None], int, list[tuple[int, int, int]]]:
+        lam = step_signature(self.spec, rng, k)
+        if lam is not None and lam[0] == lam[self.n - 1] <= 0:
+            # lam - shift is all zeros: the step is a unit, nothing to draw
+            return self.unit_profile, lam[0], []
         precision: int | None = None
         escalations: list[tuple[int, int, int]] = []
         for _ in range(MAX_PRECISION_DOUBLINGS + 1):

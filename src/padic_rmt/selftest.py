@@ -14,6 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .ensembles import sample_bi_invariant, sample_haar_gl
+from .errors import ConstraintViolated
 from .hall_littlewood import (
     SignatureDistribution,
     corner_distribution,
@@ -39,6 +40,12 @@ from .padic import (
 from .processes import CounterexampleSource, run_coupled_trajectory
 from .rng import RngStream
 from .symplectic import gsp_singular_numbers, sample_haar_gsp
+
+
+def _expect(ok: bool, detail: object = "check failed") -> None:
+    """Raise ConstraintViolated unless ok; unlike assert, it holds under -O."""
+    if not ok:
+        raise ConstraintViolated(str(detail))
 
 
 def _golden(name: str) -> dict:
@@ -71,7 +78,7 @@ def check_padic_oracle_equivalence() -> None:
         mat = sample_bi_invariant(lam, n, n, 2, None, rng, ("m", trial))
         a = smith_singular_numbers(mat)
         b = singular_numbers_via_minors(mat)
-        assert a == b == lam, (lam.parts, a.parts, b.parts)
+        _expect(a == b == lam, (lam.parts, a.parts, b.parts))
 
 
 def check_padic_bi_invariance() -> None:
@@ -81,7 +88,7 @@ def check_padic_bi_invariance() -> None:
         mat = sample_bi_invariant(lam, 3, 3, 3, None, rng, ("m", trial))
         u = sample_haar_gl(3, 3, mat.precision, rng, ("u", trial))
         v = sample_haar_gl(3, 3, mat.precision, rng, ("v", trial))
-        assert smith_singular_numbers(matmul(matmul(u, mat), v)) == lam
+        _expect(smith_singular_numbers(matmul(matmul(u, mat), v)) == lam)
 
 
 def check_padic_interlacing() -> None:
@@ -92,9 +99,10 @@ def check_padic_interlacing() -> None:
         upper = smith_singular_numbers(mat)
         for i in range(2, 5):
             lower = smith_singular_numbers(corner(mat, i))
-            assert all(
-                upper[j] >= lower[j] >= upper[j + 1] for j in range(len(lower))
-            ), (upper.parts, lower.parts, i)
+            _expect(
+                all(upper[j] >= lower[j] >= upper[j + 1] for j in range(len(lower))),
+                (upper.parts, lower.parts, i),
+            )
             upper = lower
 
 
@@ -106,7 +114,7 @@ def check_hl_symmetrized_oracle() -> None:
         lam = _random_signature(rng, trial, 3, -2, 3)
         a = hl_p_eval(lam, pts, t)
         b = hl_p_symmetrized_oracle(lam, pts, t)
-        assert a == b, (lam.parts, a, b)
+        _expect(a == b, (lam.parts, a, b))
 
 
 def check_hl_principal_specialization() -> None:
@@ -117,7 +125,7 @@ def check_hl_principal_specialization() -> None:
         n = 2 + rng.uniform_int(("n", trial), 3)
         lam = _random_signature(rng, trial, n, -2, 3)
         pts = [x * t**i for i in range(n)]
-        assert hl_p_eval(lam, pts, t) == principal_specialization(lam, x, t)
+        _expect(hl_p_eval(lam, pts, t) == principal_specialization(lam, x, t))
 
 
 def check_hl_branching_consistency() -> None:
@@ -131,16 +139,16 @@ def check_hl_branching_consistency() -> None:
             for b in range(lam[2], min(a, lam[1]) + 1):
                 mu = Signature((a, b))
                 total += hl_skew_eval(lam, mu, xs[2:], t) * hl_p_eval(mu, xs[:2], t)
-        assert total == hl_p_eval(lam, xs, t), lam.parts
+        _expect(total == hl_p_eval(lam, xs, t), lam.parts)
 
 
 def check_hl_corner_normalization() -> None:
     t = Fraction(1, 2)
     for lam in (Signature((1, 0)), Signature((2, 1, 0)), Signature((3, 0, -1))):
         dist = corner_distribution(lam, t)
-        assert dist.total == 1
+        _expect(dist.total == 1)
         joint = joint_corner_distribution(lam, t)
-        assert sum(joint.values()) == 1
+        _expect(sum(joint.values()) == 1)
         # marginal of the joint law reproduces the direct corner law
         for k in range(2, len(lam) + 1):
             marg: dict[Signature, Fraction] = {}
@@ -148,7 +156,7 @@ def check_hl_corner_normalization() -> None:
                 key = chain[k - 2]
                 marg[key] = marg.get(key, Fraction(0)) + mass
             direct = kth_corner_distribution(lam, k, t)
-            assert marg == direct.probs, (lam.parts, k)
+            _expect(marg == direct.probs, (lam.parts, k))
 
 
 def check_hl_expected_weight_dual_route() -> None:
@@ -158,8 +166,8 @@ def check_hl_expected_weight_dual_route() -> None:
         for j in range(1, len(lam) + 1):
             a = expected_corner_weight(law, j, t)
             b = expected_corner_weight_direct(law, j, t)
-            assert a == b, (lam.parts, j, a, b)
-            assert corner_weight_pgf(lam, j, t).evaluate(1) == 1
+            _expect(a == b, (lam.parts, j, a, b))
+            _expect(corner_weight_pgf(lam, j, t).evaluate(1) == 1)
 
 
 def check_processes_counterexample() -> None:
@@ -168,27 +176,27 @@ def check_processes_counterexample() -> None:
         k = step.k
         lam1 = sum(2 ** (k - 1 - 2 * i) for i in range(0, (k - 1) // 2 + 1))
         lam2 = sum(2 ** (k - 2 - 2 * i) for i in range(0, (k - 2) // 2 + 1)) if k >= 2 else 0
-        assert step.lam.parts == (lam1, lam2), (k, step.lam.parts)
-        assert step.v == (0, 2**k - 1), (k, step.v)
+        _expect(step.lam.parts == (lam1, lam2), (k, step.lam.parts))
+        _expect(step.v == (0, 2**k - 1), (k, step.v))
 
 
 def check_gsp_similitude() -> None:
     rng = RngStream(107, 0)
     for trial in range(10):
         el = sample_haar_gsp(2, 2, 16, rng, ("g", trial))
-        assert gsp_singular_numbers(el).parts == (0, 0, 0, 0)
+        _expect(gsp_singular_numbers(el).parts == (0, 0, 0, 0))
 
 
 def check_golden_corner_dist_1_0() -> None:
     golden = _golden("corner_dist_1_0_p2.json")
     dist = corner_distribution(Signature((1, 0)), Fraction(1, 2))
-    assert _dist_to_entries(dist) == golden["entries"], "corner table drifted"
+    _expect(_dist_to_entries(dist) == golden["entries"], "corner table drifted")
 
 
 def check_golden_corner_dist_1_0_0() -> None:
     golden = _golden("corner_dist_1_0_0_p2.json")
     dist = corner_distribution(Signature((1, 0, 0)), Fraction(1, 2))
-    assert _dist_to_entries(dist) == golden["entries"], "corner table drifted"
+    _expect(_dist_to_entries(dist) == golden["entries"], "corner table drifted")
 
 
 def check_golden_corner_gaps() -> None:
@@ -197,8 +205,8 @@ def check_golden_corner_gaps() -> None:
         lam = Signature(tuple(entry["signature"]))
         t = Fraction(1, entry["p"])
         report = verify_corner_inequality({lam: Fraction(1)}, t)
-        assert report.applicable and report.strict
-        assert [str(g) for g in report.gaps] == entry["gaps"], entry
+        _expect(report.applicable and report.strict)
+        _expect([str(g) for g in report.gaps] == entry["gaps"], entry)
 
 
 def check_golden_haar_corner_measure() -> None:
@@ -207,7 +215,7 @@ def check_golden_haar_corner_measure() -> None:
     got = {tuple(e["signature"]): e["prob"] for e in _dist_to_entries(dist)}
     want = {tuple(e["signature"]): e["prob"] for e in golden["entries"]}
     for key, val in want.items():
-        assert got.get(key) == val, (key, got.get(key), val)
+        _expect(got.get(key) == val, (key, got.get(key), val))
 
 
 CHECKS = [

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .ensembles import CornerOfHaar, EnsembleSpec, HaarEntries
-from .errors import PadicRmtError
+from .errors import BadConfiguration
 from .hall_littlewood import (
     SignatureDistribution,
     corner_weight_covariance,
@@ -320,7 +320,7 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     spec = config.ensemble_spec()
     target = exact_clt_target(spec) if spec is not None else None
     if target is None:
-        raise PadicRmtError("the fluctuation target needs a finite-support law")
+        raise BadConfiguration("the fluctuation target needs a finite-support law")
     mean, _sigma, lsig = target
     results = _run_trials(config)
     n = len(results[0][0])

@@ -122,8 +122,7 @@ def is_gsp(a: PadicMatrix) -> PadicScalar | None:
                     return None
             elif m[i][j] != 0:
                 return None
-    assert mu is not None
-    if mu == 0:
+    if not mu:
         raise PrecisionExhausted(
             "pairing matrix vanishes at working precision; similitude unreadable"
         )

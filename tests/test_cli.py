@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padic_rmt
 from padic_rmt import selftest
 from padic_rmt.cli import main
 
@@ -25,6 +30,11 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert run(["lln", "--config", str(missing)]) == 1
+
+    def test_law_without_clt_target_is_config_error(self, capsys):
+        argv = ["clt", "--preset", "haar-entries-2", "--kmax", "10", "--trials", "4"]
+        assert run(argv + ["--jobs", "1", "--seed", "6"]) == 1
+        assert "needs a finite-support law" in capsys.readouterr().err
 
     def test_failing_criterion_exits_two(self, tmp_path):
         cfg = {
@@ -236,6 +246,19 @@ class TestExperimentCommands:
             obj = json.loads(report.read_text())
             assert obj["counters"] == {"escalations": listed}, jobs
 
+    @pytest.mark.parametrize("kind", ["lln", "clt", "bounded-diff"])
+    def test_given_flags_override_the_config_file(self, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fixed-10", "k_max": 8, "trials": 2, "master_seed": 3}))
+        flags = ["--seed", "99", "--kmax", "40", "--trials", "5", "--jobs", "1"]
+        given, unset = tmp_path / "given.json", tmp_path / "unset.json"
+        run([kind, "--config", str(cfg), *flags, "--out", str(given)])
+        run([kind, "--config", str(cfg), "--out", str(unset)])
+        got = json.loads(given.read_text())["config"]
+        assert (got["master_seed"], got["k_max"], got["trials"], got["jobs"]) == (99, 40, 5, 1)
+        kept = json.loads(unset.read_text())["config"]
+        assert (kept["master_seed"], kept["k_max"], kept["trials"], kept["jobs"]) == (3, 8, 2, 1)
+
     def test_bounded_diff_counterexample_is_expected_fail(self, capsys):
         code = run(
             [
@@ -278,3 +301,24 @@ class TestSelftest:
         assert selftest.run_selftest("golden/") == 2
         out = capsys.readouterr().out
         assert "[FAIL] golden/corner-dist-1-0" in out
+
+    def test_corrupted_golden_fails_under_optimize(self):
+        child = "\n".join(
+            [
+                "import sys",
+                "from padic_rmt import selftest",
+                "assert False, 'asserts are live: not running under -O'",
+                "selftest._golden = lambda name: {'entries': []}",
+                "sys.exit(selftest.run_selftest('golden/'))",
+            ]
+        )
+        src = str(Path(padic_rmt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert done.returncode == 2, (done.stdout, done.stderr)
+        assert "[FAIL] golden/corner-dist-1-0" in done.stdout

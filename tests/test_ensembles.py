@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_rmt.ensembles import (
     CornerOfHaar,
@@ -19,11 +21,21 @@ from padic_rmt.ensembles import (
     sample_corner_of_haar,
     sample_haar_gl,
     sample_uniform_residue,
+    step_grid,
 )
-from padic_rmt.padic import Prime, Signature, corner, smith_singular_numbers
+from padic_rmt.errors import PrecisionExhausted
+from padic_rmt.padic import (
+    Prime,
+    Signature,
+    corner,
+    minor_profile_masks,
+    smith_singular_numbers,
+)
+from padic_rmt.presets import build_preset, preset_names
+from padic_rmt.processes import EnsembleSource
 from padic_rmt.rng import RngStream
 from padic_rmt.stats import chi_square_gof
-from padic_rmt.symplectic import is_gsp
+from padic_rmt.symplectic import is_gsp, sample_bi_invariant_gsp
 
 
 class TestSpec:
@@ -229,3 +241,63 @@ class TestLawInvariance:
             mat = sample_corner_of_haar(1, 2, 3, 2, 24, rng, ("c", i))
             counts[smith_singular_numbers(mat)] += 1
         assert tv_distance(counts, measure) < Fraction(1, 50)
+
+
+def _profile_or_none(grid, p, precision):
+    """The row-subset minor profile, or None when it is uncertified."""
+    try:
+        return minor_profile_masks(grid, p, precision)
+    except PrecisionExhausted:
+        return None
+
+
+class TestLeftFactor:
+    """The engine reads the profile of U * D; the public step matrix is
+    U * D * V.  Cauchy-Binet makes the two profiles equal."""
+
+    @pytest.mark.parametrize(
+        "name", [name for name in preset_names() if name != "paper-counterexample"]
+    )
+    def test_engine_profile_equals_step_matrix_profile(self, name):
+        spec = build_preset(name)
+        source = EnsembleSource(spec)
+        p = spec.p.p
+        for k in range(1, 61):
+            grid, shift, n_used = step_grid(spec, RngStream(40, 2), k)
+            mat = draw_step_matrix(spec, RngStream(40, 2), k, n_used)
+            assert mat.shift == shift, (name, k)
+            g = _profile_or_none(grid, p, n_used)
+            assert g is not None, (name, k)
+            assert g == _profile_or_none(mat.residues, p, n_used), (name, k)
+            assert source.profile(k, RngStream(40, 2)) == (g, shift, []), (name, k)
+
+    def test_gsp_step_matrix_is_the_public_sampler(self):
+        spec = build_preset("gsp4-fixed-1100")
+        for k in range(5):
+            mat = draw_step_matrix(spec, RngStream(41, 0), k)
+            el = sample_bi_invariant_gsp(
+                spec.kind.lam, 2, mat.precision, RngStream(41, 0), ("step", k)
+            )
+            assert mat == el.matrix
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        parts=st.lists(st.integers(-2, 7), min_size=4, max_size=4),
+    )
+    def test_right_factor_keeps_the_profile(self, p, n, seed, parts):
+        lam = Signature(tuple(sorted(parts[:n], reverse=True)))
+        precision = lam.spread() + 4
+        rng = RngStream(seed, 0)
+        u = sample_haar_gl(n, p, precision, rng, ("u",)).residues
+        v = sample_haar_gl(n, p, precision, rng, ("v",)).residues
+        mod = p**precision
+        scale = [p ** (x - min(0, lam[n - 1])) for x in lam]
+        ud = [[x * s % mod for x, s in zip(row, scale)] for row in u]
+        udv = [
+            [sum(ud[i][t] * v[t][j] for t in range(n)) % mod for j in range(n)]
+            for i in range(n)
+        ]
+        assert _profile_or_none(ud, p, precision) == _profile_or_none(udv, p, precision)

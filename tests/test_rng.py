@@ -166,3 +166,25 @@ def test_fixed_10_hashes_per_step(monkeypatch):
     for _ in iter_coupled_steps(as_source(build_preset("fixed-10")), steps, RngStream(3, 0)):
         pass
     assert len(seen) / steps <= 5.5
+
+
+def test_fixed_10_engine_skips_the_right_factor(monkeypatch):
+    from padic_rmt.presets import build_preset
+    from padic_rmt.processes import as_source, iter_coupled_steps
+
+    seen = _count_hashes(monkeypatch)
+    steps = 2000
+    for _ in iter_coupled_steps(as_source(build_preset("fixed-10")), steps, RngStream(3, 0)):
+        pass
+    assert len(seen) / steps <= 3.0
+
+
+def test_unit_steps_hash_nothing(monkeypatch):
+    from padic_rmt.presets import build_preset
+    from padic_rmt.processes import as_source, iter_coupled_steps
+
+    seen = _count_hashes(monkeypatch)
+    rows = list(iter_coupled_steps(as_source(build_preset("gsp4-haar")), 300, RngStream(3, 0)))
+    assert not seen
+    zero = (0, 0, 0, 0)
+    assert all(lam == v == w == zero for _, lam, v, w, *_ in rows)
