@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
-from .errors import ConstraintViolated, DimensionMismatch
-from .padic import PadicMatrix, Prime, Signature, _p_int
+from .errors import DimensionMismatch
+from .padic import PadicMatrix, Prime, Signature, _p_int, _scale_columns
 from .rng import PathLike, RngStream
 
 DEFAULT_PRECISION_BASE = 32
@@ -254,17 +254,6 @@ def sample_haar_gl(
     return PadicMatrix(pi, precision, 0, tuple(tuple(row) for row in grid))
 
 
-def _scale_columns(
-    u: list[list[int]], lam: Signature, p: int, precision: int
-) -> tuple[list[list[int]], int]:
-    """U * diag(p^(lam - shift)) mod p^precision and its shift, the
-    smallest part of lam when negative (else 0)."""
-    shift = min(0, lam[len(lam) - 1])
-    mod = p**precision
-    scale = [p ** (x - shift) for x in lam]
-    return [[x * s % mod for x, s in zip(row, scale)] for row in u], shift
-
-
 def _mul_grids(a: list[list[int]], b, mod: int) -> list[list[int]]:
     """The product of two residue grids mod `mod`."""
     cols = list(zip(*b))
@@ -400,6 +389,7 @@ def step_grid(
     rng: RngStream,
     step: int = 0,
     precision: int | None = None,
+    lam: Signature | None = None,
 ) -> tuple[list[list[int]], int, int]:
     """The engine's draw as raw (grid, shift, precision).
 
@@ -407,7 +397,8 @@ def step_grid(
     the step matrix U * diag(p^lam) * V: by Cauchy-Binet, right
     multiplication by V in the integral group changes no row-subset minor
     valuation, so both have the profile the engine reads.  The other kinds
-    give the whole step matrix.  draw_step_matrix adds the right factor."""
+    give the whole step matrix.  A caller that has already drawn the step's
+    signature with step_signature passes it as `lam`."""
     p = spec.p.p
     n = spec.n
     path: PathLike = ("step", step)
@@ -422,16 +413,14 @@ def step_grid(
         N = precision or spec.precision_base
         mat = sample_haar_gsp(k.half, p, N, rng, path).matrix
         return [list(r) for r in mat.residues], mat.shift, N
-    lam = step_signature(spec, rng, step)
+    if lam is None:
+        lam = step_signature(spec, rng, step)
     N = precision or step_precision(spec, lam)
     if isinstance(k, GSpFixedSN):
-        from .symplectic import is_gsp, sample_haar_gsp
+        from .symplectic import gsp_left_factor
 
-        u = sample_haar_gsp(n // 2, p, N, rng, path + ("U",)).matrix
-        grid, shift = _scale_columns(u.residues, lam, p, N)
-        if is_gsp(PadicMatrix(p, N, shift, tuple(tuple(r) for r in grid))) is None:
-            raise ConstraintViolated("scaled left factor left the similitude group")
-        return grid, shift, N
+        mat = gsp_left_factor(lam, p, N, rng, path).matrix
+        return [list(r) for r in mat.residues], mat.shift, N
     grid, shift = _left_grid(lam, p, N, rng, path)
     return grid, shift, N
 
@@ -444,17 +433,18 @@ def draw_step_matrix(
 ) -> PadicMatrix:
     """One i.i.d. sample of the step matrix. Identical (rng, spec, step,
     precision) always return the same matrix; a larger precision returns the
-    same matrix carried to more digits."""
-    grid, shift, n_used = step_grid(spec, rng, step, precision)
+    same matrix carried to more digits.  The bi-invariant kinds draw it with
+    the public sampler at path ("step", step): step_grid's left factor
+    times the right factor V."""
     p = spec.p.p
     k = spec.kind
-    path: PathLike = ("step", step, "V")
-    if isinstance(k, (FixedSN, SNMixture)):
-        v = _haar_gl_grid(spec.n, p, n_used, rng, path)
-        grid = _mul_grids(grid, v, p**n_used)
-    elif isinstance(k, GSpFixedSN):
-        from .symplectic import sample_haar_gsp
+    if isinstance(k, (FixedSN, SNMixture, GSpFixedSN)):
+        lam = step_signature(spec, rng, step)
+        N = precision or step_precision(spec, lam)
+        if isinstance(k, GSpFixedSN):
+            from .symplectic import sample_bi_invariant_gsp
 
-        v = sample_haar_gsp(spec.n // 2, p, n_used, rng, path).matrix
-        grid = _mul_grids(grid, v.residues, p**n_used)
+            return sample_bi_invariant_gsp(lam, p, N, rng, ("step", step)).matrix
+        return sample_bi_invariant(lam, spec.n, spec.n, p, N, rng, ("step", step))
+    grid, shift, n_used = step_grid(spec, rng, step, precision)
     return PadicMatrix(p, n_used, shift, tuple(tuple(r) for r in grid))

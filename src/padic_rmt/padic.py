@@ -355,6 +355,17 @@ def diag_signature(
     return PadicMatrix(pi, precision, shift, res, zeros)
 
 
+def _scale_columns(
+    u, lam: Signature, p: int, precision: int
+) -> tuple[list[list[int]], int]:
+    """U * diag(p^(lam - shift)) mod p^precision and its shift, the
+    smallest part of lam when negative (else 0)."""
+    shift = min(0, lam[len(lam) - 1])
+    mod = p**precision
+    scale = [p ** (x - shift) for x in lam]
+    return [[x * s % mod for x, s in zip(row, scale)] for row in u], shift
+
+
 # ---------------------------------------------------------------------------
 # Singular numbers via p-adic Gaussian elimination
 # ---------------------------------------------------------------------------

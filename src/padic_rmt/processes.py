@@ -71,7 +71,7 @@ class EnsembleSource:
         precision: int | None = None
         escalations: list[tuple[int, int, int]] = []
         for _ in range(MAX_PRECISION_DOUBLINGS + 1):
-            grid, shift, n_used = step_grid(self.spec, rng, k, precision)
+            grid, shift, n_used = step_grid(self.spec, rng, k, precision, lam)
             try:
                 g = minor_profile_masks(grid, self.p, n_used)
                 return g, shift, escalations

@@ -20,8 +20,8 @@ from .padic import (
     Signature,
     _int_valuation,
     _p_int,
+    _scale_columns,
     corner,
-    diag_signature,
     matmul,
     smith_singular_numbers,
 )
@@ -292,6 +292,26 @@ def sample_haar_gsp(
     return GSpElement(mat, sim)
 
 
+def gsp_left_factor(
+    lam: Signature,
+    p: Prime | int,
+    precision: int,
+    rng: RngStream,
+    path: PathLike,
+) -> GSpElement:
+    """U diag(p^lam) with Haar U drawn from path + ("U",); lam must be
+    balanced.  The similitude is checked here, once, on the scaled product."""
+    require_balanced(lam)
+    pi = _p_int(p)
+    u = sample_haar_gsp(len(lam) // 2, pi, precision, rng, path + ("U",)).matrix
+    grid, shift = _scale_columns(u.residues, lam, pi, precision)
+    mat = PadicMatrix(pi, precision, shift, tuple(tuple(r) for r in grid))
+    sim = is_gsp(mat)
+    if sim is None:
+        raise ConstraintViolated("scaled left factor left the similitude group")
+    return GSpElement(mat, sim)
+
+
 def sample_bi_invariant_gsp(
     lam: Signature,
     p: Prime | int,
@@ -299,15 +319,10 @@ def sample_bi_invariant_gsp(
     rng: RngStream,
     path: PathLike = ("gspbi",),
 ) -> GSpElement:
-    """U diag(p^lam) V with independent Haar U, V; lam must be balanced."""
-    require_balanced(lam)
-    pi = _p_int(p)
-    dim = len(lam)
-    u = sample_haar_gsp(dim // 2, pi, precision, rng, path + ("U",))
-    v = sample_haar_gsp(dim // 2, pi, precision, rng, path + ("V",))
-    d = diag_signature(lam, dim, dim, pi, precision)
-    mat = matmul(matmul(u.matrix, d), v.matrix)
-    sim = is_gsp(mat)
-    if sim is None:
-        raise ConstraintViolated("product left the similitude group")
-    return GSpElement(mat, sim)
+    """U diag(p^lam) V with independent Haar U, V; lam must be balanced.
+    The similitude of a product is the product of the similitudes."""
+    ud = gsp_left_factor(lam, p, precision, rng, path)
+    v = sample_haar_gsp(len(lam) // 2, ud.matrix.p, precision, rng, path + ("V",))
+    mod = ud.matrix.p**precision
+    sim = ud.similitude.residue * v.similitude.residue % mod
+    return GSpElement(matmul(ud.matrix, v.matrix), PadicScalar(sim, precision))

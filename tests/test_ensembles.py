@@ -279,6 +279,7 @@ class TestLeftFactor:
                 spec.kind.lam, 2, mat.precision, RngStream(41, 0), ("step", k)
             )
             assert mat == el.matrix
+            assert is_gsp(el.matrix) == el.similitude
 
     @settings(max_examples=150, deadline=None)
     @given(

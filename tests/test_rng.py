@@ -157,7 +157,8 @@ def test_sliced_draw_hashes_each_block_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
-def test_fixed_10_hashes_per_step(monkeypatch):
+def _fixed_10_hashes_per_step(monkeypatch) -> float:
+    """BLAKE2b calls per engine step of fixed-10 over 2,000 steps."""
     from padic_rmt.presets import build_preset
     from padic_rmt.processes import as_source, iter_coupled_steps
 
@@ -165,18 +166,33 @@ def test_fixed_10_hashes_per_step(monkeypatch):
     steps = 2000
     for _ in iter_coupled_steps(as_source(build_preset("fixed-10")), steps, RngStream(3, 0)):
         pass
-    assert len(seen) / steps <= 5.5
+    return len(seen) / steps
+
+
+def test_fixed_10_hashes_per_step(monkeypatch):
+    assert _fixed_10_hashes_per_step(monkeypatch) <= 5.5
 
 
 def test_fixed_10_engine_skips_the_right_factor(monkeypatch):
+    assert _fixed_10_hashes_per_step(monkeypatch) <= 3.0
+
+
+def test_mixture_pick_is_drawn_once_per_step(monkeypatch):
     from padic_rmt.presets import build_preset
     from padic_rmt.processes import as_source, iter_coupled_steps
 
-    seen = _count_hashes(monkeypatch)
-    steps = 2000
-    for _ in iter_coupled_steps(as_source(build_preset("fixed-10")), steps, RngStream(3, 0)):
+    picks = []
+    uniform_int = RngStream.uniform_int
+
+    def counted(self, path, bound):
+        picks.append(path)
+        return uniform_int(self, path, bound)
+
+    monkeypatch.setattr(RngStream, "uniform_int", counted)
+    steps = 300
+    for _ in iter_coupled_steps(as_source(build_preset("mixture-half")), steps, RngStream(3, 0)):
         pass
-    assert len(seen) / steps <= 3.0
+    assert len(picks) == len(set(picks)) == steps
 
 
 def test_unit_steps_hash_nothing(monkeypatch):
