@@ -7,6 +7,10 @@ and corner-dist output.  Two values are run-dependent: the timestamp in
 the simulate metadata JSON, and `runtime_seconds` in an experiment report
 written with --out; everything else in both files, the report's `counters`
 block included, is reproducible.
+
+simulate and gsp-simulate run their trials on --jobs worker processes
+(the pool the experiments use); the files are the same for any --jobs.
+metadata.json is written only when every trial succeeded.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .ensembles import EnsembleSpec
@@ -35,6 +40,7 @@ from .selftest import run_selftest
 from .stats import (
     ExperimentConfig,
     Tolerances,
+    map_trials,
     run_bounded_difference_experiment,
     run_clt_experiment,
     run_lln_experiment,
@@ -116,7 +122,21 @@ def _write_trajectory_csv(path: Path, traj, check_balanced: bool) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _simulate_trial(
+    source, k_max, seed, with_interpolation, out, check_balanced, trial
+) -> list[dict]:
+    """One simulate trial, in this process or a pool worker: write its CSV
+    and return its escalations for metadata.json."""
+    traj = run_coupled_trajectory(
+        source, k_max, RngStream(seed, trial), with_interpolation=with_interpolation
+    )
+    _write_trajectory_csv(out / f"trajectory_{trial:04d}.csv", traj, check_balanced)
+    return [{"trial": trial, "step": k, "from": a, "to": b} for k, a, b in traj.escalations]
+
+
 def cmd_simulate(args, symplectic: bool = False) -> int:
+    if args.kmax < 0 or args.trials < 1 or args.jobs < 1:
+        return _fail(1, "need --kmax >= 0, --trials >= 1 and --jobs >= 1")
     source_spec = _source_from_args(args)
     seed = _seed_from(args)
     out = Path(args.out)
@@ -128,33 +148,30 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
     check_balanced = symplectic or (
         isinstance(source_spec, EnsembleSpec) and source_spec.is_symplectic
     )
+    with_interpolation = bool(args.with_interpolation)
+    run_trial = partial(
+        _simulate_trial, source, args.kmax, seed, with_interpolation, out, check_balanced
+    )
+    # header-only files (--kmax 0) are not worth starting workers for
+    jobs = args.jobs if args.kmax > 0 else 1
+    try:
+        per_trial = map_trials(run_trial, list(range(args.trials)), jobs)
+    except PrecisionExhausted as exc:
+        return _fail(2, f"precision escalation cap reached: {exc}")
+    except PadicRmtError as exc:
+        return _fail(2, str(exc))
+    except OSError as exc:
+        return _fail(3, f"cannot write trajectory: {exc}")
     meta = {
         "schema": TRAJECTORY_SCHEMA,
         "seed": seed,
         "k_max": args.kmax,
         "trials": args.trials,
-        "with_interpolation": bool(args.with_interpolation),
+        "with_interpolation": with_interpolation,
         "source": source.describe(),
-        "escalations": [],
+        "escalations": [e for escalations in per_trial for e in escalations],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    try:
-        for trial in range(args.trials):
-            traj = run_coupled_trajectory(
-                source,
-                args.kmax,
-                RngStream(seed, trial),
-                with_interpolation=args.with_interpolation,
-            )
-            meta["escalations"].extend(
-                {"trial": trial, "step": k, "from": a, "to": b}
-                for k, a, b in traj.escalations
-            )
-            _write_trajectory_csv(out / f"trajectory_{trial:04d}.csv", traj, check_balanced)
-    except PrecisionExhausted as exc:
-        return _fail(2, f"precision escalation cap reached: {exc}")
-    except PadicRmtError as exc:
-        return _fail(2, str(exc))
     try:
         (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
     except OSError as exc:

@@ -61,8 +61,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.preset is None):
             raise ValueError("give exactly one of spec or preset")
-        if self.trials < 1 or self.k_max < 4:
-            raise ValueError("need trials >= 1 and k_max >= 4")
+        if self.trials < 1 or self.jobs < 1 or self.k_max < 4:
+            raise ValueError("need trials >= 1, jobs >= 1 and k_max >= 4")
 
     def source_key(self):
         """Picklable description a worker can rebuild the source from."""
@@ -191,18 +191,28 @@ def _counters(results: list[TrialResult]) -> dict:
     return {"escalations": sum(r.escalations for r in results)}
 
 
+def map_trials(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], in task order.  With jobs > 1 and at least two
+    tasks, on min(jobs, len(tasks)) worker processes started with the
+    platform's default method (fork on Linux, which spares each worker an
+    interpreter start); otherwise in this process.  fn must be picklable,
+    and an exception it raises in a worker is raised here."""
+    workers = min(jobs, len(tasks))
+    if workers < 2:
+        return [fn(t) for t in tasks]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 8))
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
 def _run_trials(config: ExperimentConfig) -> list[TrialResult]:
     args = [
         (config.source_key(), config.k_max, config.master_seed, t)
         for t in range(config.trials)
     ]
-    if config.jobs > 1 and config.trials > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-            chunk = max(1, config.trials // (config.jobs * 8))
-            return list(pool.map(_terminal_stats, args, chunksize=chunk))
-    return [_terminal_stats(a) for a in args]
+    return map_trials(_terminal_stats, args, config.jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import padic_rmt
-from padic_rmt import selftest
+from padic_rmt import processes, selftest
 from padic_rmt.cli import main
+from padic_rmt.stats import map_trials
+
+ESCALATING_SPEC = {"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}
 
 
 def run(argv):
@@ -137,6 +140,115 @@ class TestSimulate:
             assert lam[0] + lam[3] == lam[1] + lam[2]
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records each pool's size and runs
+    the tasks in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools started while the test runs (none really start)."""
+    import concurrent.futures
+
+    sizes: list = []
+    monkeypatch.setattr(RecordingExecutor, "sizes", sizes)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
+
+
+def _outputs(out: Path) -> dict:
+    """Every file of a simulate --out directory, metadata less its timestamp."""
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    meta = json.loads(files.pop("metadata.json"))
+    meta.pop("timestamp")
+    return {**files, "metadata.json": meta}
+
+
+class TestSimulatePool:
+    def _spec_argv(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(ESCALATING_SPEC))
+        return ["simulate", "--config", str(spec_path)]
+
+    @pytest.mark.parametrize("law", ["escalating-spec", "gsp4-fixed-1100"])
+    def test_jobs_do_not_change_outputs(self, tmp_path, law):
+        if law == "escalating-spec":
+            argv = self._spec_argv(tmp_path) + ["--kmax", "400", "--trials", "3"]
+            argv += ["--with-interpolation"]
+        else:
+            argv = ["gsp-simulate", "--preset", law, "--kmax", "60", "--trials", "2"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(argv + ["--seed", "7", "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(_outputs(out))
+        assert outputs[0] == outputs[1]
+        if law == "escalating-spec":
+            # escalations in more than one trial, listed in trial order
+            trials = [e["trial"] for e in outputs[0]["metadata.json"]["escalations"]]
+            assert len(set(trials)) > 1 and trials == sorted(trials)
+
+    def test_precision_cap_in_a_worker_exits_two(self, tmp_path, monkeypatch, capsys):
+        # set before the pool forks, so the workers inherit it
+        monkeypatch.setattr(processes, "MAX_PRECISION_DOUBLINGS", 0)
+        out = tmp_path / "out"
+        argv = self._spec_argv(tmp_path) + ["--kmax", "300", "--trials", "2", "--jobs", "2"]
+        assert run(argv + ["--seed", "7", "--out", str(out)]) == 2
+        assert "precision escalation cap reached" in capsys.readouterr().err
+        assert not (out / "metadata.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_trajectory_is_io_error(self, tmp_path, jobs, capsys):
+        out = tmp_path / "out"
+        (out / "trajectory_0001.csv").mkdir(parents=True)
+        argv = ["simulate", "--preset", "fixed-10", "--kmax", "5", "--trials", "2"]
+        assert run(argv + ["--jobs", jobs, "--out", str(out)]) == 3
+        assert "cannot write trajectory" in capsys.readouterr().err
+        assert not (out / "metadata.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "gsp-simulate"])
+    @pytest.mark.parametrize(
+        "flags", [["--kmax", "-3"], ["--trials", "0"], ["--jobs", "0"], ["--jobs", "-1"]]
+    )
+    def test_bad_sizes_are_config_errors(self, tmp_path, command, flags):
+        out = tmp_path / "out"
+        argv = [command, "--preset", "gsp4-fixed-1100", *flags, "--out", str(out)]
+        assert run(argv) == 1
+        assert not out.exists()
+
+    def test_no_pool_without_steps_or_for_one_trial(self, tmp_path, pool_sizes):
+        argv = ["simulate", "--preset", "fixed-10", "--jobs", "2"]
+        assert run(argv + ["--kmax", "0", "--trials", "3", "--out", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--kmax", "5", "--trials", "1", "--out", str(tmp_path / "b")]) == 0
+        assert pool_sizes == []
+        # header-only files: the schema line and the column names
+        assert len((tmp_path / "a" / "trajectory_0002.csv").read_text().splitlines()) == 2
+        assert run(argv + ["--kmax", "5", "--trials", "3", "--out", str(tmp_path / "c")]) == 0
+        assert pool_sizes == [2]
+
+    def test_pool_is_capped_at_the_trial_count(self, tmp_path, pool_sizes):
+        assert map_trials(abs, [-1, 2, -3], 64) == [1, 2, 3]
+        argv = ["clt", "--preset", "fixed-10", "--kmax", "8", "--trials", "2", "--seed", "1"]
+        run(argv + ["--jobs", "16", "--out", str(tmp_path / "clt.json")])
+        argv = ["simulate", "--preset", "fixed-10", "--kmax", "5", "--trials", "3"]
+        assert run(argv + ["--jobs", "16", "--out", str(tmp_path / "sim")]) == 0
+        assert pool_sizes == [3, 2, 3]
+
+
 class TestPresets:
     def test_every_preset_simulates(self, tmp_path):
         from padic_rmt.presets import preset_names
@@ -229,7 +341,7 @@ class TestExperimentCommands:
     def test_report_counts_escalations_like_simulate(self, tmp_path):
         """The report's escalation counter equals the escalations simulate
         lists for the same law, size and seed, for serial and pooled runs."""
-        spec = {"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}
+        spec = ESCALATING_SPEC
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         sim = tmp_path / "sim"

@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(preset="fixed-10", spec=None, k_max=2)
 
+    @pytest.mark.parametrize("size", [{"trials": 0}, {"jobs": 0}, {"jobs": -2}])
+    def test_refuses_empty_runs_and_pools(self, size):
+        with pytest.raises(ValueError):
+            ExperimentConfig(preset="fixed-10", **size)
+
     def test_json_roundtrip(self):
         cfg = ExperimentConfig(
             preset="fixed-10",
