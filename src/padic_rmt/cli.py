@@ -32,7 +32,7 @@ from .hall_littlewood import (
     hl_p_eval,
     kth_corner_distribution,
 )
-from .padic import Signature
+from .padic import Prime, Signature
 from .presets import build_preset, preset_names
 from .processes import as_source, run_coupled_trajectory
 from .rng import RngStream
@@ -190,6 +190,12 @@ def cmd_corner_dist(args) -> int:
         sig = _parse_signature(args.signature)
     except ValueError:
         return _fail(1, f"not a signature: {args.signature!r}")
+    try:
+        Prime(args.p)
+    except ValueError as exc:
+        return _fail(1, f"--p: {exc}")
+    if args.monte_carlo < 0:
+        return _fail(1, "--monte-carlo must be >= 0")
     t = Fraction(1, args.p)
     level = args.level
     try:

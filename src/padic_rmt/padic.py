@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 
 from .errors import (
     DenominatorNotInvertible,
@@ -373,7 +373,7 @@ def _scale_columns(
 
 def _eliminate_pivot_valuations(
     grid: list[list[int]],
-    zeros: set[tuple[int, int]],
+    zeros: frozenset[tuple[int, int]],
     p: int,
     precision: int,
 ) -> list[int]:
@@ -383,12 +383,14 @@ def _eliminate_pivot_valuations(
     columns is the pivot (ties broken by smallest (row, col)); the stage
     valuation is factored out of the remaining submatrix, so the working
     precision only shrinks by the valuation spread, not by the total weight.
+    An entry stays an exact zero while no row operation can make it nonzero.
     """
     rows = len(grid)
     cols = len(grid[0])
     if rows > cols:
         raise DimensionMismatch("rows must be <= cols")
     work = [row[:] for row in grid]
+    zeros = set(zeros)
     live_rows = list(range(rows))
     live_cols = list(range(cols))
     n_eff = precision
@@ -434,6 +436,12 @@ def _eliminate_pivot_valuations(
         live_cols.remove(pj)
         for i in live_rows:
             wrow = work[i]
+            if zeros and (i, pj) not in zeros:
+                # the row's multiplier may be nonzero, so an exact zero
+                # survives only above an exact zero of the pivot row
+                for j in live_cols:
+                    if (pi_, j) not in zeros:
+                        zeros.discard((i, j))
             f = wrow[pj] * inv % mod
             if f:
                 for j in live_cols:
@@ -446,58 +454,53 @@ def _eliminate_pivot_valuations(
 def smith_singular_numbers(a: PadicMatrix) -> Signature:
     """Singular numbers (non-increasing) of a full-row-rank matrix."""
     grid = [list(row) for row in a.residues]
-    pivots = _eliminate_pivot_valuations(
-        grid, set(a.exact_zeros), a.p, a.precision
-    )
+    pivots = _eliminate_pivot_valuations(grid, a.exact_zeros, a.p, a.precision)
     parts = tuple(sorted((v + a.shift for v in pivots), reverse=True))
     return Signature(parts)
 
 
 # ---------------------------------------------------------------------------
 # Singular numbers via minors (independent oracle, and the profile used by
-# the process engine); determinants are exact cofactor expansions over the
-# lifted residues and share no code with the elimination above.
+# the process engine).  Determinants are first-row cofactor expansions of
+# the residues mod p^N on row and column bitmasks, planned once per shape;
+# they share no code with the elimination above.
 # ---------------------------------------------------------------------------
 
 
-def _subdet_cache(
-    grid: tuple[tuple[int, ...], ...], row_sets: list[tuple[int, ...]]
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Exact integer determinants of all (rows, cols) submatrices needed.
+@lru_cache(maxsize=None)
+def _profile_plan(rows: int, cols: int) -> tuple:
+    """Cofactor plan of every square minor of a rows x cols grid.
 
-    Built bottom-up by first-row cofactor expansion so each determinant of
-    size k reuses the cached size k-1 minors.
+    One entry (R, r0, R without r0, terms) per nonempty row mask R, by
+    size, r0 being the lowest row of R.  terms holds, for each column mask
+    C of the size of R, the expansion of det(R, C) along row r0 as
+    (c, C without c, sign) triples:
+    det(R, C) = sum of sign * grid[r0][c] * det(R without r0, C without c),
+    where the empty minor det(0, 0) is 1.
     """
-    cols_all = range(len(grid[0]))
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    by_size: dict[int, set[tuple[int, ...]]] = {}
-    for rs in row_sets:
-        by_size.setdefault(len(rs), set()).add(rs)
-    # ensure all smaller row sets needed by cofactor expansion are present
-    sizes = sorted(by_size)
-    for k in sizes:
-        for rs in list(by_size[k]):
-            for kk in range(1, k):
-                for sub in combinations(rs[1:], kk):
-                    by_size.setdefault(kk, set()).add(sub)
-    for k in sorted(by_size):
-        for rs in sorted(by_size[k]):
-            for cs in combinations(cols_all, k):
-                if k == 1:
-                    cache[(rs, cs)] = grid[rs[0]][cs[0]]
-                    continue
-                top = rs[0]
-                rest = rs[1:]
-                det = 0
-                sign = 1
-                for t, c in enumerate(cs):
-                    x = grid[top][c]
-                    if x:
-                        sub_cols = cs[:t] + cs[t + 1 :]
-                        det += sign * x * cache[(rest, sub_cols)]
-                    sign = -sign
-                cache[(rs, cs)] = det
-    return cache
+    by_size: list[list[int]] = [[] for _ in range(rows + 1)]
+    for cm in range(1, 1 << cols):
+        if cm.bit_count() <= rows:
+            by_size[cm.bit_count()].append(cm)
+    plan = []
+    for k in range(1, rows + 1):
+        for rm in range(1, 1 << rows):
+            if rm.bit_count() != k:
+                continue
+            terms = []
+            for cm in by_size[k]:
+                cs = _bits(cm)
+                expansion = tuple(
+                    (c, cm & ~(1 << c), -1 if t % 2 else 1) for t, c in enumerate(cs)
+                )
+                terms.append((cm, expansion))
+            plan.append((rm, _bits(rm)[0], rm & (rm - 1), tuple(terms)))
+    return tuple(plan)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def minor_profile_masks(
@@ -522,78 +525,41 @@ def minor_profile_masks(
         raise DimensionMismatch("profile supported for at most 6 rows")
     if rows > cols:
         raise DimensionMismatch("rows must be <= cols")
-    if rows == 2 and not zeros:
-        return _minor_profile_2(grid, p, precision)
-    row_sets = [
-        rs for k in range(1, rows + 1) for rs in combinations(range(rows), k)
-    ]
-    cache = _subdet_cache(grid, row_sets)
     mod = p**precision
+    width = 1 << cols
+    # dets[R][C]: the minor on row mask R and column mask C, mod p^precision
+    dets: list = [None] * (1 << rows)
+    dets[0] = [1]
     out: list[int | None] = [None] * (1 << rows)
-    cols_all = range(cols)
-    for rs in row_sets:
-        k = len(rs)
-        best: int | None = None
-        any_unknown = False
-        for cs in combinations(cols_all, k):
-            d = cache[(rs, cs)] % mod
-            if d == 0:
-                # certified exactly zero only when a full row or column
-                # of the minor consists of exact zeros
-                if not _minor_exactly_zero(zeros, rs, cs):
-                    any_unknown = True
-                continue
-            v = _int_valuation(d, p)
-            if best is None or v < best:
-                best = v
-        if best is None and any_unknown:
+    for rm, r0, rest, terms in _profile_plan(rows, cols):
+        row = grid[r0]
+        sub = dets[rest]
+        level = [0] * width
+        for cm, expansion in terms:
+            det = 0
+            for c, cc, sign in expansion:
+                det += sign * row[c] * sub[cc]
+            level[cm] = det % mod
+        dets[rm] = level
+        # the gcd of the minors has the valuation of the smallest nonzero one
+        g = math.gcd(*level)
+        if g:
+            out[rm] = _int_valuation(g, p)
+        elif not all(_minor_exactly_zero(zeros, rm, cm) for cm, _ in terms):
             raise PrecisionExhausted(
-                f"all {k}x{k} minors of rows {rs} vanish mod p^{precision}"
+                f"all minors of rows {_bits(rm)} vanish mod p^{precision}"
             )
-        mask = 0
-        for r in rs:
-            mask |= 1 << r
-        out[mask] = best
-    return out
-
-
-def _minor_profile_2(grid, p: int, precision: int) -> list[int | None]:
-    """Hand-rolled two-row case; this sits on the hot path of long runs."""
-    mod = p**precision
-    row0 = [x % mod for x in grid[0]]
-    row1 = [x % mod for x in grid[1]]
-    out: list[int | None] = [None, None, None, None]
-    v0 = min(
-        (_int_valuation(x, p) for x in row0 if x), default=None
-    )
-    v1 = min(
-        (_int_valuation(x, p) for x in row1 if x), default=None
-    )
-    best = None
-    cols = len(row0)
-    for i in range(cols - 1):
-        x0 = row0[i]
-        x1 = row1[i]
-        for j in range(i + 1, cols):
-            d = (x0 * row1[j] - row0[j] * x1) % mod
-            if d:
-                v = _int_valuation(d, p)
-                if best is None or v < best:
-                    best = v
-    for mask, v in ((1, v0), (2, v1), (3, best)):
-        if v is None:
-            raise PrecisionExhausted(
-                f"minors of row subset {mask:b} vanish mod p^{precision}"
-            )
-        out[mask] = v
     return out
 
 
 def _minor_exactly_zero(
-    zeros: frozenset[tuple[int, int]], rs: tuple[int, ...], cs: tuple[int, ...]
+    zeros: frozenset[tuple[int, int]], rm: int, cm: int
 ) -> bool:
+    """Whether a full row or column of the minor on row mask rm and column
+    mask cm consists of exact zeros."""
     if not zeros:
         return False
+    rs, cs = _bits(rm), _bits(cm)
     return any(all((i, j) in zeros for j in cs) for i in rs) or any(
         all((i, j) in zeros for i in rs) for j in cs
     )

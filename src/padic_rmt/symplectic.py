@@ -104,23 +104,23 @@ def is_gsp(a: PadicMatrix) -> PadicScalar | None:
         raise DimensionMismatch("need a square even-dimensional matrix")
     half = d // 2
     mod = a.p**a.precision
-    rows = [list(r) for r in a.residues]
-    gram_rows = [_apply_gram(r, half, mod) for r in rows]
-    # m[i][j] = <row_i, row_j>
+    rows = a.residues
+    # the form is alternating: <a, a> = 0 and <b, a> = -<a, b> over the
+    # integers, so the pairs i < j decide; <a, b> is the sum over t < half
+    # of a_t b_(d-1-t) - a_(d-1-t) b_t
+    mirror = [(t, d - 1 - t) for t in range(half)]
     mu: int | None = None
-    m = [
-        [sum(x * y for x, y in zip(gram_rows[i], rows[j])) % mod for j in range(d)]
-        for i in range(d)
-    ]
-    for i in range(d):
-        for j in range(d):
+    for i in range(d - 1):
+        x = rows[i]
+        for j in range(i + 1, d):
+            y = rows[j]
+            m = sum([x[s] * y[t] - x[t] * y[s] for s, t in mirror]) % mod
             if j == d - 1 - i:
-                cand = m[i][j] if i < half else -m[i][j] % mod
                 if mu is None:
-                    mu = cand
-                elif cand != mu:
+                    mu = m
+                elif m != mu:
                     return None
-            elif m[i][j] != 0:
+            elif m:
                 return None
     if not mu:
         raise PrecisionExhausted(

@@ -279,6 +279,27 @@ class TestCornerDist:
         assert "(1,): 1/3" in out
         assert "(0,): 2/3" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "4"], "not a prime: 4"),
+            (["--p", "4", "--monte-carlo", "10"], "not a prime: 4"),
+            (["--p", "1"], "not a prime: 1"),
+            (["--monte-carlo", "-5"], "--monte-carlo must be >= 0"),
+        ],
+    )
+    def test_bad_prime_or_sample_count(self, capsys, flags, message):
+        assert run(["corner-dist", "--signature", "1,0"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_no_samples_is_valid(self, capsys):
+        assert run(["corner-dist", "--signature", "1,0", "--monte-carlo", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "(1,): 1/3" in out
+        assert "TV distance" not in out
+
     def test_point_mass(self, capsys):
         assert run(["corner-dist", "--signature", "3,3", "--p", "5"]) == 0
         assert "(3,): 1" in capsys.readouterr().out

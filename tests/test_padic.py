@@ -1,9 +1,14 @@
 """Exact arithmetic, singular numbers, and matrix-shape operations."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_rmt.errors import (
     DimensionMismatch,
@@ -21,6 +26,7 @@ from padic_rmt.padic import (
     delete_row,
     diag_signature,
     matmul,
+    minor_profile_masks,
     minor_valuation_profile,
     reduce,
     singular_numbers_via_minors,
@@ -184,6 +190,21 @@ class TestSmith:
         with pytest.raises(SingularMatrix):
             smith_singular_numbers(m)
 
+    def test_fill_in_is_not_an_exact_zero(self):
+        # eliminating on the (0, 0) pivot subtracts the digits-only entry
+        # (0, 1) from the exact zeros (1, 1) and (3, 1) below it; the lift
+        # adding 8 * t to every entry that is not an exact zero has
+        # determinant of valuation 6 to 8, so the matrix is not singular
+        m = PadicMatrix(
+            2,
+            3,
+            0,
+            ((5, 2, 2, 0), (4, 0, 0, 4), (4, 1, 4, 1), (0, 0, 0, 4)),
+            frozenset({(0, 3), (1, 1), (3, 1), (3, 2)}),
+        )
+        with pytest.raises(PrecisionExhausted):
+            smith_singular_numbers(m)
+
     def test_rectangular(self):
         p = 5
         m = reduce([[p, 0, 0], [0, 1, 0]], p, 8)
@@ -202,6 +223,63 @@ class TestSmith:
             a = smith_singular_numbers(mat)
             b = singular_numbers_via_minors(mat)
             assert a == b == lam
+
+
+@st.composite
+def _digit_grids(draw):
+    """Grids of up to 4 x 4 at p in {2, 3}: uniform residues, residues near
+    the precision, residues 0 to the precision only, and exact zeros."""
+    p = draw(st.sampled_from((2, 3)))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(rows, 4))
+    precision = draw(st.integers(1, 8))
+    mod = p**precision
+    near = st.integers(max(precision - 2, 0), precision).flatmap(
+        lambda e: st.integers(0, mod - 1).map(lambda u: u * p**e % mod)
+    )
+    cell = st.one_of(
+        st.tuples(st.integers(0, mod - 1), st.just(False)),
+        st.tuples(near, st.just(False)),
+        st.just((0, True)),
+    )
+    cells = draw(
+        st.lists(
+            st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+    )
+    residues = tuple(tuple(x for x, _ in row) for row in cells)
+    zeros = frozenset(
+        (i, j) for i, row in enumerate(cells) for j, (_, exact) in enumerate(row) if exact
+    )
+    return PadicMatrix(p, precision, 0, residues, zeros)
+
+
+def _has_full_matching(a: PadicMatrix) -> bool:
+    """Some choice of one column per row avoids every exact zero."""
+    return any(
+        all((i, c) not in a.exact_zeros for i, c in enumerate(cs))
+        for cs in permutations(range(a.cols), a.rows)
+    )
+
+
+class TestNeverGuess:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_digit_grids())
+    def test_routes_agree_or_decline(self, a):
+        # elimination and the minors oracle share no code: when both return
+        # they agree, and a route that declines says why, claiming
+        # singularity only when the exact zeros force it for every lift
+        outcomes = []
+        for route in (smith_singular_numbers, singular_numbers_via_minors):
+            try:
+                outcomes.append(route(a))
+            except PrecisionExhausted:
+                outcomes.append(None)
+            except SingularMatrix:
+                assert not _has_full_matching(a), route.__name__
+                outcomes.append(None)
+        if None not in outcomes:
+            assert outcomes[0] == outcomes[1]
 
 
 class TestRectangular:
@@ -389,3 +467,68 @@ class TestProfile:
         assert again.residues == mat.residues
         assert again.shift == mat.shift
         assert again.precision == mat.precision
+
+
+def _profile_cases():
+    """A fixed seeded set of minor_profile_masks inputs: rows 1-6, cols
+    rows..rows+2, p in {2, 3, 5}, precision 1-40.  Entries are uniform,
+    near-precision multiples of p or zero; some rows are multiples of an
+    earlier row plus a perturbation at the precision; every other grid
+    flags most of its zero residues as exact zeros."""
+    gen = random.Random(20261020)
+    for rows in range(1, 7):
+        for extra in range(3):
+            cols = rows + extra
+            for p in (2, 3, 5):
+                for t in range(12):
+                    precision = gen.randint(1, 40)
+                    mod = p**precision
+                    grid: list[tuple[int, ...]] = []
+                    for i in range(rows):
+                        if i and gen.random() < 0.25:
+                            src = grid[gen.randrange(i)]
+                            c = gen.randrange(mod)
+                            e = precision - gen.randint(0, 2)
+                            row = [
+                                (c * x + gen.randrange(p) * p ** max(e, 0)) % mod
+                                for x in src
+                            ]
+                        else:
+                            row = []
+                            for _ in range(cols):
+                                u = gen.random()
+                                if u < 0.5:
+                                    row.append(gen.randrange(mod))
+                                elif u < 0.8:
+                                    e = max(precision - gen.randint(1, 3), 0)
+                                    row.append(gen.randrange(mod) * p**e % mod)
+                                else:
+                                    row.append(0)
+                        grid.append(tuple(row))
+                    zeros = frozenset()
+                    if t % 2:
+                        zeros = frozenset(
+                            (i, j)
+                            for i in range(rows)
+                            for j in range(cols)
+                            if grid[i][j] == 0 and gen.random() < 0.8
+                        )
+                    yield tuple(grid), p, precision, zeros
+
+
+# SHA-256 over minor_profile_masks on _profile_cases, digested before the
+# profile kernel was rewritten on row and column bitmasks
+PROFILE_GOLDEN_SHA256 = "3d21d03d8e7514a763ffc323bc62e731866e70683c68f7517c93c0a0cc462d58"
+
+
+class TestProfileGolden:
+    def test_profile_golden(self):
+        h = hashlib.sha256()
+        for grid, p, precision, zeros in _profile_cases():
+            try:
+                out = repr(minor_profile_masks(grid, p, precision, zeros))
+            except PrecisionExhausted as exc:
+                out = type(exc).__name__
+            h.update(out.encode())
+            h.update(b";")
+        assert h.hexdigest() == PROFILE_GOLDEN_SHA256

@@ -16,6 +16,7 @@ from padic_rmt.ensembles import (
     CornerOfHaar,
     EnsembleSpec,
     FixedSN,
+    GSpFixedSN,
     HaarEntries,
     SNMixture,
     draw_step_matrix,
@@ -46,6 +47,16 @@ SPEC_PRESETS = [name for name in preset_names() if name != "paper-counterexample
 # SHA-256 over the engine's rows, with interpolation, and escalations for
 # every preset at seed (2024, 7); see test_engine_golden
 ENGINE_GOLDEN_SHA256 = "ed28af642b5ead2a43eb8e9d3df0f366fc53c780f2fa47bc50601f50dffdf057"
+
+# (spec, k_max, with_interpolation) that escalate at precision base 4, and
+# the SHA-256 over their rows and escalation logs at seed (2024, 7); see
+# test_escalation_golden
+ESCALATING_SPECS = [
+    (EnsembleSpec(Prime(2), 3, CornerOfHaar(4), precision_base=4), 1000, True),
+    (EnsembleSpec(Prime(3), 3, FixedSN(Signature((5, 5, 0))), precision_base=4), 400, False),
+    (EnsembleSpec(Prime(2), 4, GSpFixedSN(Signature((4, 4, 0, 0))), precision_base=4), 150, False),
+]
+ESCALATION_GOLDEN_SHA256 = "d765b016421d5cce69ca1843ece143def01d8ad497e7d7c4a5b73ac7829462c2"
 
 
 def fixed_spec(parts, p=2):
@@ -216,6 +227,21 @@ class TestTrajectory:
                 h.update(repr(row).encode())
             h.update(repr((name, log)).encode())
         assert h.hexdigest() == ENGINE_GOLDEN_SHA256
+
+    def test_escalation_golden(self):
+        """Where certification fails, and the rows after it, are a fixed
+        function of (seed, trial, step law) too."""
+        h = hashlib.sha256()
+        for spec, k_max, with_interpolation in ESCALATING_SPECS:
+            log = []
+            rows = iter_coupled_steps(
+                as_source(spec), k_max, RngStream(2024, 7), with_interpolation, log
+            )
+            for row in rows:
+                h.update(repr(row).encode())
+            assert log
+            h.update(repr(log).encode())
+        assert h.hexdigest() == ESCALATION_GOLDEN_SHA256
 
     def test_invariants_raise_typed_errors_under_optimize(self):
         # a source whose profile is not concave (single rows at valuation 3,

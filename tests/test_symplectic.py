@@ -1,12 +1,14 @@
 """Similitude-group membership, singular numbers, and Haar sampling."""
 
+import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from padic_rmt.ensembles import EnsembleSpec, GSpFixedSN, GSpHaar, sample_haar_gl
-from padic_rmt.errors import ConstraintViolated
+from padic_rmt.errors import ConstraintViolated, PrecisionExhausted
 from padic_rmt.padic import (
     PadicMatrix,
     Prime,
@@ -218,3 +220,52 @@ class TestTrajectories:
             prod = mat if prod is None else matmul(prod, mat)
             assert is_gsp(prod) is not None
             assert is_balanced(smith_singular_numbers(prod))
+
+
+def _is_gsp_cases():
+    """A fixed seeded set of is_gsp inputs, half 1-3 and p in {2, 3, 5}:
+    Haar samples, the same scaled by p^s (similitude vanishing at low
+    precision), with balanced column scalings, with one entry perturbed,
+    and uniform residue grids."""
+    gen = random.Random(20261021)
+    rng = RngStream(20261021, 0)
+    for half in (1, 2, 3):
+        d = 2 * half
+        for p in (2, 3, 5):
+            for t in range(16):
+                precision = gen.randint(1, 12)
+                mod = p**precision
+                base = sample_haar_gsp(half, p, precision, rng, ("g", half, p, t)).matrix
+                grids = [[list(r) for r in base.residues]]
+                s = gen.randint(1, precision)
+                grids.append([[x * p**s % mod for x in r] for r in grids[0]])
+                lo = [gen.randint(0, 3) for _ in range(half)]
+                lam = sorted(lo, reverse=True)
+                lam = lam + [4 - x for x in reversed(lam)]
+                grids.append([[x * p**e % mod for x, e in zip(r, lam)] for r in grids[0]])
+                for g in grids[:3]:
+                    bent = [r[:] for r in g]
+                    i, j = gen.randrange(d), gen.randrange(d)
+                    e = gen.randint(0, precision)
+                    bent[i][j] = (bent[i][j] + gen.randrange(1, p) * p**e) % mod
+                    grids.append(bent)
+                grids.append([[gen.randrange(mod) for _ in range(d)] for _ in range(d)])
+                for g in grids:
+                    yield PadicMatrix(p, precision, 0, tuple(tuple(r) for r in g))
+
+
+# SHA-256 over is_gsp on _is_gsp_cases, digested before is_gsp was
+# rewritten to read each row pair once
+IS_GSP_GOLDEN_SHA256 = "920ac141e105b51dfbeede05f66be768724d6b66490875460ea9589ebed64b9e"
+
+
+def test_is_gsp_golden():
+    h = hashlib.sha256()
+    for mat in _is_gsp_cases():
+        try:
+            out = repr(is_gsp(mat))
+        except PrecisionExhausted as exc:
+            out = type(exc).__name__
+        h.update(out.encode())
+        h.update(b";")
+    assert h.hexdigest() == IS_GSP_GOLDEN_SHA256
