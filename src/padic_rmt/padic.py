@@ -478,23 +478,22 @@ def _profile_plan(rows: int, cols: int) -> tuple:
     det(R, C) = sum of sign * grid[r0][c] * det(R without r0, C without c),
     where the empty minor det(0, 0) is 1.
     """
-    by_size: list[list[int]] = [[] for _ in range(rows + 1)]
+    by_size: list[list[int]] = [[] for _ in range(cols + 1)]
     for cm in range(1, 1 << cols):
-        if cm.bit_count() <= rows:
-            by_size[cm.bit_count()].append(cm)
+        by_size[cm.bit_count()].append(cm)
     plan = []
-    for k in range(1, rows + 1):
-        for rm in range(1, 1 << rows):
-            if rm.bit_count() != k:
-                continue
-            terms = []
-            for cm in by_size[k]:
-                cs = _bits(cm)
-                expansion = tuple(
-                    (c, cm & ~(1 << c), -1 if t % 2 else 1) for t, c in enumerate(cs)
-                )
-                terms.append((cm, expansion))
-            plan.append((rm, _bits(rm)[0], rm & (rm - 1), tuple(terms)))
+    for rm in sorted(range(1, 1 << rows), key=int.bit_count):
+        terms = tuple(
+            (
+                cm,
+                tuple(
+                    (c, cm & ~(1 << c), -1 if t % 2 else 1)
+                    for t, c in enumerate(_bits(cm))
+                ),
+            )
+            for cm in by_size[rm.bit_count()]
+        )
+        plan.append((rm, _bits(rm)[0], rm & (rm - 1), terms))
     return tuple(plan)
 
 

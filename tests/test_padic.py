@@ -191,10 +191,11 @@ class TestSmith:
             smith_singular_numbers(m)
 
     def test_fill_in_is_not_an_exact_zero(self):
-        # eliminating on the (0, 0) pivot subtracts the digits-only entry
-        # (0, 1) from the exact zeros (1, 1) and (3, 1) below it; the lift
-        # adding 8 * t to every entry that is not an exact zero has
-        # determinant of valuation 6 to 8, so the matrix is not singular
+        # on the (0, 0) pivot, row 1 subtracts a multiple of row 0, whose
+        # entry (0, 1) is not exact, and row 3's multiplier (3, 0) is zero
+        # to the precision only, so the exact zeros (1, 1), (3, 1) and
+        # (3, 2) do not survive; adding 8 to every entry that is not an
+        # exact zero gives a lift of determinant -6912, so it is not singular
         m = PadicMatrix(
             2,
             3,
