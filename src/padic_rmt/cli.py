@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad configuration or usage, 2 numeric failure
-(a criterion failed, or precision escalation hit its cap), 3 I/O error.
+A command returns its verdict (0, or 2 when a criterion or selftest check
+failed) and raises on any other failure.  main alone turns the exception
+into an exit code, printing one "error: <message>" line on stderr: 1 for
+bad input (BadConfiguration, ValueError, KeyError), 2 for any other
+library error (the precision escalation cap, say), 3 for I/O (OSError).
 Identical command line and seed produce byte-identical trajectory CSVs
 and corner-dist output.  Two values are run-dependent: the timestamp in
 the simulate metadata JSON, and `runtime_seconds` in an experiment report
@@ -26,7 +29,7 @@ from functools import partial
 from pathlib import Path
 
 from .ensembles import EnsembleSpec
-from .errors import BadConfiguration, PadicRmtError, PrecisionExhausted
+from .errors import BadConfiguration, PadicRmtError
 from .hall_littlewood import (
     corner_distribution,
     hl_p_eval,
@@ -52,41 +55,45 @@ TRAJECTORY_SCHEMA = "padic-rmt-trajectory v1"
 
 
 def _parse_signature(text: str) -> Signature:
-    return Signature(tuple(int(x) for x in text.replace(" ", "").split(",")))
+    try:
+        return Signature(tuple(int(x) for x in text.replace(" ", "").split(",")))
+    except ValueError:
+        raise ValueError(f"not a signature: {text!r}") from None
+
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _seed_from(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("PADIC_RMT_SEED")
-    return int(env) if env else 2024
+    try:
+        return int(env) if env else 2024
+    except ValueError:
+        raise ValueError(f"PADIC_RMT_SEED is not an integer: {env!r}") from None
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SystemExit(_fail(1, f"cannot read config: {exc}"))
-    except json.JSONDecodeError as exc:
-        raise SystemExit(_fail(1, f"config is not valid JSON: {exc}"))
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+        raise BadConfiguration(f"cannot read config: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text at all
+        raise BadConfiguration(f"config is not valid JSON: {exc}") from exc
 
 
 def _source_from_args(args):
-    if getattr(args, "config", None):
-        obj = _load_json(args.config)
-        return EnsembleSpec.from_json(obj)
-    if getattr(args, "preset", None):
-        try:
-            return build_preset(args.preset)
-        except KeyError as exc:
-            raise SystemExit(_fail(1, str(exc)))
-    raise SystemExit(_fail(1, "give --preset or --config (see --help)"))
+    if args.config:
+        return EnsembleSpec.from_json(_load_json(args.config))
+    if args.preset:
+        return build_preset(args.preset)
+    raise BadConfiguration("give --preset or --config (see --help)")
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +143,16 @@ def _simulate_trial(
 
 def cmd_simulate(args, symplectic: bool = False) -> int:
     if args.kmax < 0 or args.trials < 1 or args.jobs < 1:
-        return _fail(1, "need --kmax >= 0, --trials >= 1 and --jobs >= 1")
+        raise BadConfiguration("need --kmax >= 0, --trials >= 1 and --jobs >= 1")
     source_spec = _source_from_args(args)
+    # the CSV balance check follows the law; gsp-simulate runs only laws it can check
+    check_balanced = isinstance(source_spec, EnsembleSpec) and source_spec.is_symplectic
+    if symplectic and not check_balanced:
+        raise BadConfiguration("gsp-simulate needs a symplectic law (GSpHaar or GSpFixedSN)")
     seed = _seed_from(args)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(3, f"cannot create output directory: {exc}")
+    out.mkdir(parents=True, exist_ok=True)
     source = as_source(source_spec)
-    check_balanced = symplectic or (
-        isinstance(source_spec, EnsembleSpec) and source_spec.is_symplectic
-    )
     with_interpolation = bool(args.with_interpolation)
     run_trial = partial(
         _simulate_trial, source, args.kmax, seed, with_interpolation, out, check_balanced
@@ -156,12 +161,8 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
     jobs = args.jobs if args.kmax > 0 else 1
     try:
         per_trial = map_trials(run_trial, list(range(args.trials)), jobs)
-    except PrecisionExhausted as exc:
-        return _fail(2, f"precision escalation cap reached: {exc}")
-    except PadicRmtError as exc:
-        return _fail(2, str(exc))
     except OSError as exc:
-        return _fail(3, f"cannot write trajectory: {exc}")
+        raise OSError(f"cannot write trajectory: {exc}") from exc
     meta = {
         "schema": TRAJECTORY_SCHEMA,
         "seed": seed,
@@ -172,10 +173,7 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
         "escalations": [e for escalations in per_trial for e in escalations],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    try:
-        (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
-    except OSError as exc:
-        return _fail(3, f"cannot write metadata: {exc}")
+    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {args.trials} trajectory file(s) to {out}")
     return 0
 
@@ -186,25 +184,17 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
 
 
 def cmd_corner_dist(args) -> int:
-    try:
-        sig = _parse_signature(args.signature)
-    except ValueError:
-        return _fail(1, f"not a signature: {args.signature!r}")
-    try:
-        Prime(args.p)
-    except ValueError as exc:
-        return _fail(1, f"--p: {exc}")
+    sig = _parse_signature(args.signature)
+    Prime(args.p)
     if args.monte_carlo < 0:
-        return _fail(1, "--monte-carlo must be >= 0")
+        raise BadConfiguration("--monte-carlo must be >= 0")
+    seed = _seed_from(args) if args.monte_carlo else None
     t = Fraction(1, args.p)
     level = args.level
-    try:
-        if level == 2:
-            dist = corner_distribution(sig, t)
-        else:
-            dist = kth_corner_distribution(sig, level, t)
-    except (ValueError, PadicRmtError) as exc:
-        return _fail(1, str(exc))
+    if level == 2:
+        dist = corner_distribution(sig, t)
+    else:
+        dist = kth_corner_distribution(sig, level, t)
     print(f"corner level {level} of a bi-invariant matrix with SN {sig.parts}, p={args.p}")
     for entry in dist.to_json_entries():
         print(f"  {tuple(entry['signature'])}: {entry['prob']}")
@@ -212,7 +202,7 @@ def cmd_corner_dist(args) -> int:
         from .ensembles import sample_bi_invariant
         from .padic import corner, smith_singular_numbers
 
-        rng = RngStream(_seed_from(args), 0)
+        rng = RngStream(seed, 0)
         counts: dict[Signature, int] = {}
         for i in range(args.monte_carlo):
             mat = sample_bi_invariant(sig, len(sig), len(sig), args.p, None, rng, ("mc", i))
@@ -227,17 +217,9 @@ def cmd_corner_dist(args) -> int:
 
 
 def cmd_hl_eval(args) -> int:
-    try:
-        sig = _parse_signature(args.signature)
-        points = [Fraction(x) for x in args.points.replace(" ", "").split(",")]
-        t = Fraction(args.t)
-    except (ValueError, ZeroDivisionError):
-        return _fail(1, "bad signature, points, or t")
-    try:
-        val = hl_p_eval(sig, points, t)
-    except PadicRmtError as exc:
-        return _fail(1, str(exc))
-    print(val)
+    sig = _parse_signature(args.signature)
+    points = [_parse_fraction(x) for x in args.points.replace(" ", "").split(",")]
+    print(hl_p_eval(sig, points, _parse_fraction(args.t)))
     return 0
 
 
@@ -258,38 +240,23 @@ def _experiment_config(args) -> ExperimentConfig:
             expect_split=(args.preset != "paper-counterexample"),
         )
     else:
-        raise SystemExit(_fail(1, "give --preset or --config"))
+        raise BadConfiguration("give --preset or --config")
     # flags given on the command line override the file's values
     given = {"k_max": args.kmax, "trials": args.trials, "jobs": args.jobs, "master_seed": args.seed}
     return replace(cfg, **{key: val for key, val in given.items() if val is not None})
 
 
 def _run_experiment(args, runner, kind: str) -> int:
-    try:
-        cfg = _experiment_config(args)
-    except (ValueError, KeyError) as exc:
-        return _fail(1, str(exc))
-    try:
-        report = runner(cfg)
-    except BadConfiguration as exc:
-        return _fail(1, str(exc))
-    except PadicRmtError as exc:
-        return _fail(2, str(exc))
-    text = json.dumps(report.to_json(), indent=2)
+    report = runner(_experiment_config(args))
     if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            return _fail(3, str(exc))
+        Path(args.out).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     print(f"{kind}: {'PASS' if report.passed else 'FAIL'}")
     for c in report.criteria:
         mark = "ok" if c["passed"] else "FAIL"
         print(f"  [{mark}] {c['name']}: estimate {c['estimate']}, target {c.get('target')}")
     for note in report.notes:
         print(f"  note: {note}")
-    if not report.passed and not (kind == "bounded-diff" and not cfg.expect_split):
-        return 2
-    return 0
+    return 0 if report.passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +335,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    except PadicRmtError as exc:
-        return _fail(2, str(exc))
+    except (PadicRmtError, ValueError, KeyError, OSError) as exc:
+        # the one place a failure becomes an exit code (a KeyError's str()
+        # is the repr of its message)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            return 3
+        return 1 if isinstance(exc, (BadConfiguration, ValueError, KeyError)) else 2
 
 
 if __name__ == "__main__":

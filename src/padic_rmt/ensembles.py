@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import inf, lcm
 
 from .errors import DimensionMismatch
-from .padic import PadicMatrix, Prime, Signature, _p_int, _scale_columns
+from .padic import MAX_PROFILE_ROWS, PadicMatrix, Prime, Signature, _p_int, _scale_columns
 from .rng import PathLike, RngStream
 
 DEFAULT_PRECISION_BASE = 32
@@ -89,10 +89,12 @@ class EnsembleSpec:
             object.__setattr__(self, "p", Prime(self.p))
         if self.n < 1:
             raise ValueError("dimension must be positive")
+        if self.n > MAX_PROFILE_ROWS:
+            raise ValueError(f"n = {self.n}: the engine runs at most {MAX_PROFILE_ROWS} rows")
         if self.precision_base < 4:
             raise ValueError("precision_base too small")
         k = self.kind
-        if isinstance(k, FixedSN) and len(k.lam) != self.n:
+        if isinstance(k, (FixedSN, GSpFixedSN)) and len(k.lam) != self.n:
             raise ValueError("fixed signature length must equal n")
         if isinstance(k, SNMixture):
             for lam, _ in k.components:
@@ -106,11 +108,10 @@ class EnsembleSpec:
             if isinstance(k, GSpHaar) and 2 * k.half != self.n:
                 raise ValueError("GSpHaar half-dimension inconsistent with n")
             if isinstance(k, GSpFixedSN):
-                from .symplectic import require_balanced
+                from .symplectic import is_balanced
 
-                if len(k.lam) != self.n:
-                    raise ValueError("fixed signature length must equal n")
-                require_balanced(k.lam)
+                if not is_balanced(k.lam):
+                    raise ValueError(f"signature {k.lam.parts} is not balanced")
 
     @property
     def is_symplectic(self) -> bool:
@@ -137,20 +138,38 @@ class EnsembleSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EnsembleSpec":
-        kind_obj = obj["kind"]
-        if len(kind_obj) != 1:
-            raise ValueError("kind must have exactly one entry")
-        name, payload = next(iter(kind_obj.items()))
-        if name not in _KIND_BY_NAME:
-            raise ValueError(f"unknown ensemble kind {name!r}")
-        _name, _cls, _encode, decode = _KIND_BY_NAME[name]
-        return cls(
-            p=Prime(int(obj["p"])),
-            n=int(obj["n"]),
-            kind=decode(payload),
-            precision_base=int(obj.get("precision_base", DEFAULT_PRECISION_BASE)),
-        )
+    def from_json(cls, obj) -> "EnsembleSpec":
+        """Parse the JSON form; a malformed object raises ValueError naming
+        the field at fault."""
+        return cls(**parse_fields(obj, _SPEC_FIELDS, required=("p", "n", "kind")))
+
+
+def parse_fields(obj, converters: dict, required: tuple = ()) -> dict:
+    """{key: convert(obj[key])} for each key of converters that the JSON
+    object obj has.  Anything but an object, a missing required key, or a
+    value its converter rejects raises ValueError naming what is wrong."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {obj!r}")
+    out = {}
+    for key, convert in converters.items():
+        if key not in obj:
+            if key in required:
+                raise ValueError(f"missing field {key!r}")
+            continue
+        try:
+            out[key] = convert(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {key!r}: {exc}") from None
+    return out
+
+
+def _decode_kind(obj) -> Kind:
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(f"expected an object with exactly one entry, not {obj!r}")
+    ((name, payload),) = obj.items()
+    if name not in _KIND_BY_NAME:
+        raise ValueError(f"unknown ensemble kind {name!r}")
+    return _KIND_BY_NAME[name][3](payload)
 
 
 def _sig(xs) -> Signature:
@@ -182,6 +201,12 @@ _KIND_CODECS = (
 )
 _KIND_BY_CLASS = {codec[1]: codec for codec in _KIND_CODECS}
 _KIND_BY_NAME = {codec[0]: codec for codec in _KIND_CODECS}
+_SPEC_FIELDS = {
+    "p": lambda x: Prime(int(x)),
+    "n": int,
+    "kind": _decode_kind,
+    "precision_base": int,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ class PadicRmtError(Exception):
 
 
 class BadConfiguration(PadicRmtError):
-    """The requested computation does not apply to the configured law."""
+    """The input asks for a computation that does not apply to it (the
+    command line exits 1, where other library errors exit 2)."""
 
 
 class DimensionMismatch(PadicRmtError):
@@ -34,19 +35,19 @@ class SingularMatrix(PadicRmtError):
     """Rank deficiency certified on exact zeros where full rank was required."""
 
 
-class NotInterlacing(PadicRmtError):
+class NotInterlacing(BadConfiguration):
     """The pair of signatures does not satisfy the interlacing relation."""
 
 
-class ZeroPointWithNegativeWeight(PadicRmtError):
+class ZeroPointWithNegativeWeight(BadConfiguration):
     """An evaluation point is 0 while some chain carries a negative exponent there."""
 
 
-class RepeatedPoints(PadicRmtError):
+class RepeatedPoints(BadConfiguration):
     """The symmetrized evaluator needs pairwise distinct points."""
 
 
-class KernelPole(PadicRmtError):
+class KernelPole(BadConfiguration):
     """Some product a_i * b_j equals 1, so the kernel has a pole."""
 
 
@@ -56,7 +57,3 @@ class InequalityViolated(PadicRmtError):
 
 class ConstraintViolated(PadicRmtError):
     """A structural constraint (e.g. balanced signature pairs) failed exactly."""
-
-
-class DegenerateCovariance(PadicRmtError):
-    """The limiting covariance is identically zero; fluctuation checks do not apply."""

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 INFINITY = math.inf
+# the most rows minor_profile_masks (and so the trajectory engine) handles
+MAX_PROFILE_ROWS = 6
 
 Rational = int | Fraction
 IntVector = tuple[int, ...]
@@ -520,8 +522,8 @@ def minor_profile_masks(
     """
     rows = len(grid)
     cols = len(grid[0])
-    if rows > 6:
-        raise DimensionMismatch("profile supported for at most 6 rows")
+    if rows > MAX_PROFILE_ROWS:
+        raise DimensionMismatch(f"profile supported for at most {MAX_PROFILE_ROWS} rows")
     if rows > cols:
         raise DimensionMismatch("rows must be <= cols")
     mod = p**precision

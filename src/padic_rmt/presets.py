@@ -56,9 +56,6 @@ def preset_names() -> list[str]:
 
 def build_preset(name: str):
     """EnsembleSpec (or deterministic source) for a named preset."""
-    try:
-        return _FACTORIES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
+    if name not in preset_names():
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return _FACTORIES[name]()

@@ -79,7 +79,8 @@ class EnsembleSource:
                 precision = n_used * 2
                 escalations.append((k, n_used, precision))
         raise PrecisionExhausted(
-            f"step {k}: profile uncertified after {MAX_PRECISION_DOUBLINGS} doublings"
+            f"precision escalation cap reached: step {k}: profile uncertified"
+            f" after {MAX_PRECISION_DOUBLINGS} doublings"
         )
 
 

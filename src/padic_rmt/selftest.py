@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .ensembles import sample_bi_invariant, sample_haar_gl
-from .errors import ConstraintViolated
+from .errors import BadConfiguration, ConstraintViolated
 from .hall_littlewood import (
     SignatureDistribution,
     corner_distribution,
@@ -237,7 +237,8 @@ CHECKS = [
 
 
 def run_selftest(name_filter: str = "") -> int:
-    """Run every check whose name contains the filter; 0 if all pass."""
+    """Run every check whose name contains the filter: 0 if all pass, 2 if
+    any failed; BadConfiguration if no check matches."""
     failures = 0
     ran = 0
     for name, fn in CHECKS:
@@ -252,8 +253,7 @@ def run_selftest(name_filter: str = "") -> int:
         else:
             print(f"[ok]   {name}")
     if ran == 0:
-        print(f"no checks match filter {name_filter!r}")
-        return 1
+        raise BadConfiguration(f"no checks match filter {name_filter!r}")
     if failures:
         print(f"{failures} of {ran} checks failed")
         return 2

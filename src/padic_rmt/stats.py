@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .ensembles import CornerOfHaar, EnsembleSpec, HaarEntries
+from .ensembles import CornerOfHaar, EnsembleSpec, HaarEntries, parse_fields
 from .errors import BadConfiguration
 from .hall_littlewood import (
     SignatureDistribution,
@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("give exactly one of spec or preset")
         if self.trials < 1 or self.jobs < 1 or self.k_max < 4:
             raise ValueError("need trials >= 1, jobs >= 1 and k_max >= 4")
+        if self.preset is not None:
+            build_preset(self.preset)  # an unknown name raises KeyError
 
     def source_key(self):
         """Picklable description a worker can rebuild the source from."""
@@ -95,19 +97,22 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        tol = Tolerances(**obj.get("tolerances", {}))
-        spec = EnsembleSpec.from_json(obj["spec"]) if "spec" in obj else None
-        return cls(
-            spec=spec,
-            preset=obj.get("preset"),
-            k_max=int(obj.get("k_max", 1000)),
-            trials=int(obj.get("trials", 50)),
-            master_seed=int(obj.get("master_seed", 2024)),
-            tolerances=tol,
-            jobs=int(obj.get("jobs", 1)),
-            expect_split=bool(obj.get("expect_split", True)),
-        )
+    def from_json(cls, obj) -> "ExperimentConfig":
+        """Parse the JSON form; a malformed object raises ValueError naming
+        the field at fault.  Absent fields keep their defaults."""
+        return cls(**parse_fields(obj, _CONFIG_FIELDS))
+
+
+_CONFIG_FIELDS = {
+    "spec": EnsembleSpec.from_json,
+    "preset": lambda x: x,
+    "k_max": int,
+    "trials": int,
+    "master_seed": int,
+    "tolerances": lambda x: Tolerances(**x),
+    "jobs": int,
+    "expect_split": bool,
+}
 
 
 @dataclass

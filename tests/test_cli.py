@@ -11,13 +11,64 @@ import pytest
 import padic_rmt
 from padic_rmt import processes, selftest
 from padic_rmt.cli import main
+from padic_rmt.padic import MAX_PROFILE_ROWS
 from padic_rmt.stats import map_trials
 
 ESCALATING_SPEC = {"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}
+SRC = str(Path(padic_rmt.__file__).resolve().parents[1])
 
 
 def run(argv):
     return main(argv)
+
+
+SIZES = {"k_max": 8, "trials": 2, "master_seed": 1, "jobs": 1}
+EXPERIMENT = {"preset": "fixed-10", **SIZES}
+SPEC_10 = {"p": 2, "n": 2, "kind": {"FixedSN": ["1", "0"]}}
+
+# name: (command, the --config file's content or None, more arguments, PADIC_RMT_SEED)
+MALFORMED = {
+    "spec-one-part-signature": ("simulate", {**SPEC_10, "kind": {"FixedSN": ["1"]}}, [], None),
+    "spec-without-kind": ("simulate", {"p": 2, "n": 2}, [], None),
+    "spec-is-a-list": ("simulate", [SPEC_10], [], None),
+    "spec-p-not-prime": ("simulate", {**SPEC_10, "p": 4}, [], None),
+    "spec-mixture-mass": (
+        "simulate",
+        {**SPEC_10, "kind": {"SNMixture": [[["1", "0"], "1/3"]]}},
+        [],
+        None,
+    ),
+    "spec-increasing-signature": ("simulate", {**SPEC_10, "kind": {"FixedSN": ["0", "1"]}}, [], None),
+    "seed-not-an-integer": ("simulate", None, ["--preset", "fixed-10", "--kmax", "3"], "abc"),
+    "config-unknown-preset": ("lln", {**EXPERIMENT, "preset": "nope"}, [], None),
+    "config-unknown-tolerance": ("lln", {**EXPERIMENT, "tolerances": {"tv": 1}}, [], None),
+    "config-tolerances-a-list": ("lln", {**EXPERIMENT, "tolerances": [1]}, [], None),
+    "config-is-a-list": ("lln", [EXPERIMENT], [], None),
+    "config-trials-null": ("lln", {**EXPERIMENT, "trials": None}, [], None),
+    "config-spec-a-number": ("lln", {"spec": 5}, [], None),
+    "hl-eval-too-few-points": (
+        "hl-eval",
+        None,
+        ["--signature", "2,0", "--points", "1", "--t", "1/2"],
+        None,
+    ),
+}
+
+
+def malformed_argv(name, tmp_path, monkeypatch=None) -> list[str]:
+    """The command line of a MALFORMED case; its output would go to
+    tmp_path / "out".  Sets PADIC_RMT_SEED through monkeypatch, if given."""
+    command, config, more, seed = MALFORMED[name]
+    argv = [command, *more]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if command != "hl-eval":
+        argv += ["--out", str(tmp_path / "out")]
+    if seed is not None and monkeypatch is not None:
+        monkeypatch.setenv("PADIC_RMT_SEED", seed)
+    return argv
 
 
 class TestExitCodes:
@@ -50,6 +101,46 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run(["lln", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_input_is_config_error(self, tmp_path, monkeypatch, capsys, name):
+        assert run(malformed_argv(name, tmp_path, monkeypatch)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_input_through_the_entry_point(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "padic_rmt.cli", *malformed_argv("config-is-a-list", tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "lln"])
+    def test_spec_beyond_the_row_limit_is_config_error(self, tmp_path, capsys, command):
+        n = MAX_PROFILE_ROWS + 1
+        spec = {"p": 2, "n": n, "kind": {"FixedSN": ["1"] + ["0"] * (n - 1)}}
+        config = spec if command == "simulate" else {**SIZES, "spec": spec}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 1
+        assert f"at most {MAX_PROFILE_ROWS} rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_precision_cap_in_an_experiment_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(processes, "MAX_PRECISION_DOUBLINGS", 0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"spec": ESCALATING_SPEC, "k_max": 300, "trials": 2, "jobs": 1}))
+        assert run(["lln", "--config", str(path), "--seed", "7"]) == 2
+        assert "precision escalation cap reached" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -138,6 +229,13 @@ class TestSimulate:
             row = dict(zip(header, line.split(",")))
             lam = [int(row[f"lambda_{i}"]) for i in range(1, 5)]
             assert lam[0] + lam[3] == lam[1] + lam[2]
+
+    @pytest.mark.parametrize("preset", ["fixed-210", "fixed-10"])
+    def test_gsp_simulate_refuses_a_general_linear_law(self, tmp_path, capsys, preset):
+        out = tmp_path / "out"
+        assert run(["gsp-simulate", "--preset", preset, "--kmax", "5", "--out", str(out)]) == 1
+        assert "symplectic" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class RecordingExecutor:
@@ -335,6 +433,11 @@ class TestHlEval:
         )
         assert capsys.readouterr().out.strip() == "3/2"
 
+    def test_evaluator_input_error_is_config_error(self, capsys):
+        argv = ["hl-eval", "--signature", "0,-1", "--points", "0,1", "--t", "1/2"]
+        assert run(argv) == 1
+        assert "negative weight" in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     def test_lln_writes_report(self, tmp_path, capsys):
@@ -409,6 +512,13 @@ class TestExperimentCommands:
         assert code == 0
         assert "non-split" in capsys.readouterr().out
 
+    def test_failing_non_split_bounded_diff_exits_two(self, tmp_path, capsys):
+        cfg = {**EXPERIMENT, "k_max": 40, "trials": 3, "expect_split": False}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["bounded-diff", "--config", str(path)]) == 2
+        assert "bounded-diff: FAIL" in capsys.readouterr().out
+
 
 class TestSelftest:
     def test_all_pass(self, capsys):
@@ -420,6 +530,12 @@ class TestSelftest:
         assert run(["selftest", "--filter", "hl/"]) == 0
         out = capsys.readouterr().out
         assert "padic/" not in out and "hl/" in out
+
+    def test_no_matching_check_is_config_error(self, capsys):
+        assert run(["selftest", "--filter", "no-such-check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no checks match filter 'no-such-check'\n"
 
     def test_corrupted_golden_fails_by_name(self, monkeypatch, capsys):
         real = selftest._golden
