@@ -42,7 +42,6 @@ from .rng import RngStream
 from .selftest import run_selftest
 from .stats import (
     ExperimentConfig,
-    Tolerances,
     map_trials,
     run_bounded_difference_experiment,
     run_clt_experiment,
@@ -233,11 +232,7 @@ def _experiment_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(_load_json(args.config))
     elif args.preset:
         cfg = ExperimentConfig(
-            preset=args.preset,
-            master_seed=_seed_from(args),
-            tolerances=Tolerances(),
-            jobs=os.cpu_count() or 1,
-            expect_split=(args.preset != "paper-counterexample"),
+            preset=args.preset, master_seed=_seed_from(args), jobs=os.cpu_count() or 1
         )
     else:
         raise BadConfiguration("give --preset or --config")

@@ -146,10 +146,14 @@ class EnsembleSpec:
 
 def parse_fields(obj, converters: dict, required: tuple = ()) -> dict:
     """{key: convert(obj[key])} for each key of converters that the JSON
-    object obj has.  Anything but an object, a missing required key, or a
-    value its converter rejects raises ValueError naming what is wrong."""
+    object obj has.  Anything but an object, a key without a converter, a
+    missing required key, or a value its converter rejects raises
+    ValueError naming what is wrong."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {obj!r}")
+    for key in obj:
+        if key not in converters:
+            raise ValueError(f"unknown field {key!r}")
     out = {}
     for key, convert in converters.items():
         if key not in obj:
@@ -163,6 +167,20 @@ def parse_fields(obj, converters: dict, required: tuple = ()) -> dict:
     return out
 
 
+def json_int(x) -> int:
+    """A JSON integer; true, false, fractional numbers and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, not {x!r}")
+    return x
+
+
+def json_bool(x) -> bool:
+    """A JSON true or false; no other value is read as a truth value."""
+    if not isinstance(x, bool):
+        raise ValueError(f"expected true or false, not {x!r}")
+    return x
+
+
 def _decode_kind(obj) -> Kind:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"expected an object with exactly one entry, not {obj!r}")
@@ -173,7 +191,16 @@ def _decode_kind(obj) -> Kind:
 
 
 def _sig(xs) -> Signature:
-    return Signature(tuple(int(x) for x in xs))
+    """Signature parts: JSON integers, or integer strings as documented."""
+    if not isinstance(xs, list):
+        raise ValueError(f"expected a list of signature parts, not {xs!r}")
+    return Signature(tuple(_sig_part(x) for x in xs))
+
+
+def _sig_part(x) -> int:
+    if isinstance(x, str) and x.removeprefix("-").isdecimal():
+        return int(x)
+    return json_int(x)
 
 
 def _sig_json(lam: Signature) -> list[str]:
@@ -193,19 +220,19 @@ _KIND_CODECS = (
         "CornerOfHaar",
         CornerOfHaar,
         lambda k: "infinity" if k.ambient is None else k.ambient,
-        lambda x: CornerOfHaar(None if x in ("infinity", None) else int(x)),
+        lambda x: CornerOfHaar(None if x in ("infinity", None) else json_int(x)),
     ),
     ("HaarEntries", HaarEntries, lambda k: {}, lambda x: HaarEntries()),
-    ("GSpHaar", GSpHaar, lambda k: k.half, lambda x: GSpHaar(int(x))),
+    ("GSpHaar", GSpHaar, lambda k: k.half, lambda x: GSpHaar(json_int(x))),
     ("GSpFixedSN", GSpFixedSN, lambda k: _sig_json(k.lam), lambda x: GSpFixedSN(_sig(x))),
 )
 _KIND_BY_CLASS = {codec[1]: codec for codec in _KIND_CODECS}
 _KIND_BY_NAME = {codec[0]: codec for codec in _KIND_CODECS}
 _SPEC_FIELDS = {
-    "p": lambda x: Prime(int(x)),
-    "n": int,
+    "p": lambda x: Prime(json_int(x)),
+    "n": json_int,
     "kind": _decode_kind,
-    "precision_base": int,
+    "precision_base": json_int,
 }
 
 

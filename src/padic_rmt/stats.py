@@ -14,11 +14,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
-from .ensembles import CornerOfHaar, EnsembleSpec, HaarEntries, parse_fields
+from .ensembles import (
+    CornerOfHaar,
+    EnsembleSpec,
+    HaarEntries,
+    json_bool,
+    json_int,
+    parse_fields,
+)
 from .errors import BadConfiguration
 from .hall_littlewood import (
     SignatureDistribution,
@@ -29,7 +37,7 @@ from .hall_littlewood import (
 )
 from .padic import Signature
 from .presets import build_preset
-from .processes import as_source, iter_coupled_steps
+from .processes import CounterexampleSource, EnsembleSource, as_source, iter_coupled_steps
 from .rng import RngStream
 
 
@@ -37,18 +45,18 @@ from .rng import RngStream
 class Tolerances:
     lln_abs: float = 0.02
     clt_rel: float = 0.15
-    tv_max: float = 0.02
 
     def __post_init__(self) -> None:
-        if min(self.lln_abs, self.clt_rel, self.tv_max) <= 0:
+        if min(self.lln_abs, self.clt_rel) <= 0:
             raise ValueError("tolerances must be positive")
-
-    def to_json(self) -> dict:
-        return {"lln_abs": self.lln_abs, "clt_rel": self.clt_rel, "tv_max": self.tv_max}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's law, sizes and tolerances.  The step source is built
+    once, here.  expect_split left unset follows the law: false exactly for
+    the deterministic counterexample, whose gap diverges."""
+
     spec: EnsembleSpec | None = None
     preset: str | None = None
     k_max: int = 1000
@@ -56,37 +64,27 @@ class ExperimentConfig:
     master_seed: int = 2024
     tolerances: Tolerances = field(default_factory=Tolerances)
     jobs: int = 1
-    expect_split: bool = True
+    expect_split: bool | None = None
+    source: EnsembleSource | CounterexampleSource = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.preset is None):
             raise ValueError("give exactly one of spec or preset")
         if self.trials < 1 or self.jobs < 1 or self.k_max < 4:
             raise ValueError("need trials >= 1, jobs >= 1 and k_max >= 4")
-        if self.preset is not None:
-            build_preset(self.preset)  # an unknown name raises KeyError
-
-    def source_key(self):
-        """Picklable description a worker can rebuild the source from."""
-        if self.preset is not None:
-            return ("preset", self.preset)
-        return ("spec", self.spec.to_json())
-
-    def build_source(self):
-        return source_from_key(self.source_key())
-
-    def ensemble_spec(self) -> EnsembleSpec | None:
-        """The EnsembleSpec of the step law, or None for a deterministic source."""
-        if self.spec is not None:
-            return self.spec
-        return getattr(self.build_source(), "spec", None)
+        # an unknown preset name raises KeyError
+        source = as_source(self.spec if self.preset is None else build_preset(self.preset))
+        object.__setattr__(self, "source", source)
+        if self.expect_split is None:
+            split = not isinstance(source, CounterexampleSource)
+            object.__setattr__(self, "expect_split", split)
 
     def to_json(self) -> dict:
         out = {
             "k_max": self.k_max,
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "tolerances": self.tolerances.to_json(),
+            "tolerances": asdict(self.tolerances),
             "jobs": self.jobs,
             "expect_split": self.expect_split,
         }
@@ -106,54 +104,61 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {
     "spec": EnsembleSpec.from_json,
     "preset": lambda x: x,
-    "k_max": int,
-    "trials": int,
-    "master_seed": int,
+    "k_max": json_int,
+    "trials": json_int,
+    "master_seed": json_int,
     "tolerances": lambda x: Tolerances(**x),
-    "jobs": int,
-    "expect_split": bool,
+    "jobs": json_int,
+    "expect_split": json_bool,
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentReport:
+    """An experiment's outcome; the fields are declared in report order."""
+
+    schema_version: int = 1
     kind: str
     config: dict
     predictions: dict
     estimates: dict
     criteria: list[dict]
     passed: bool
-    notes: list[str] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    runtime_seconds: float = 0.0
-    schema_version: int = 1
+    notes: list[str]
+    counters: dict
+    runtime_seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "config": self.config,
-            "predictions": self.predictions,
-            "estimates": self.estimates,
-            "criteria": self.criteria,
-            "passed": self.passed,
-            "notes": self.notes,
-            "counters": self.counters,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return asdict(self)
+
+
+def _criterion(name: str, target, estimate, passed: bool, trials: int, **error) -> dict:
+    """One pass/fail check of a report; error holds its error measure and
+    tolerance, which the report lists between the estimate and the verdict."""
+    head = {"name": name, "target": target, "estimate": estimate}
+    return {**head, **error, "passed": passed, "trials": trials}
+
+
+def _report(
+    kind: str, config: ExperimentConfig, results: list, t0: float, criteria: list[dict], **parts
+) -> ExperimentReport:
+    """The report of an experiment started at time t0; parts holds its
+    predictions, estimates and notes.  Its counters are deterministic, and
+    the same for any --jobs."""
+    return ExperimentReport(
+        kind=kind,
+        config=config.to_json(),
+        criteria=criteria,
+        passed=all(c["passed"] for c in criteria),
+        counters={"escalations": sum(r.escalations for r in results)},
+        runtime_seconds=time.time() - t0,
+        **parts,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Trial execution (module-level functions so process pools can pickle them)
 # ---------------------------------------------------------------------------
-
-
-def source_from_key(source_key):
-    """The step source an ExperimentConfig.source_key describes."""
-    kind, payload = source_key
-    if kind == "preset":
-        return as_source(build_preset(payload))
-    return as_source(EnsembleSpec.from_json(payload))
 
 
 class TrialResult(NamedTuple):
@@ -168,11 +173,9 @@ class TrialResult(NamedTuple):
     escalations: int
 
 
-def _terminal_stats(args) -> TrialResult:
+def _terminal_stats(source, k_max: int, master_seed: int, trial: int) -> TrialResult:
     """One trial: terminal products vector plus running max |lam - v| at the
     quarter, half and full horizon."""
-    source_key, k_max, master_seed, trial = args
-    source = source_from_key(source_key)
     rng = RngStream(master_seed, trial)
     q1, q2 = k_max // 4, k_max // 2
     m = 0
@@ -189,11 +192,6 @@ def _terminal_stats(args) -> TrialResult:
         if k == q2:
             m_q2 = m
     return TrialResult(lam, v, m_q1, m_q2, m, len(escalations))
-
-
-def _counters(results: list[TrialResult]) -> dict:
-    """Run counters of a report: deterministic, and the same for any --jobs."""
-    return {"escalations": sum(r.escalations for r in results)}
 
 
 def map_trials(fn, tasks: list, jobs: int) -> list:
@@ -213,11 +211,27 @@ def map_trials(fn, tasks: list, jobs: int) -> list:
 
 
 def _run_trials(config: ExperimentConfig) -> list[TrialResult]:
-    args = [
-        (config.source_key(), config.k_max, config.master_seed, t)
-        for t in range(config.trials)
-    ]
-    return map_trials(_terminal_stats, args, config.jobs)
+    run_trial = partial(_terminal_stats, config.source, config.k_max, config.master_seed)
+    return map_trials(run_trial, list(range(config.trials)), config.jobs)
+
+
+def _power_sums(results: list[TrialResult]) -> tuple[list, list, list, list]:
+    """Exact sums over the trials of lam_i, lam_i * lam_j, lam_i^3 and lam_i^4."""
+    n = len(results[0].lam)
+    s1 = [0] * n
+    s2 = [[0] * n for _ in range(n)]
+    s3 = [0] * n
+    s4 = [0] * n
+    for r in results:
+        lam = r.lam
+        for i, x in enumerate(lam):
+            s1[i] += x
+            s3[i] += x**3
+            s4[i] += x**4
+            row = s2[i]
+            for j, y in enumerate(lam):
+                row[j] += x * y
+    return s1, s2, s3, s4
 
 
 # ---------------------------------------------------------------------------
@@ -261,69 +275,43 @@ def run_lln_experiment(config: ExperimentConfig) -> ExperimentReport:
     of the estimates instead."""
     t0 = time.time()
     results = _run_trials(config)
-    n = len(results[0][0])
+    s1, s2, _s3, _s4 = _power_sums(results)
+    n = len(s1)
     k = config.k_max
     trials = config.trials
-    sums = [0] * n
-    squares = [0] * n
-    for lam, _v, *_ in results:
-        for i, x in enumerate(lam):
-            sums[i] += x
-            squares[i] += x * x
-    means = [Fraction(s, trials * k) for s in sums]
-    stderr = []
-    for i in range(n):
-        var = Fraction(squares[i], trials) - Fraction(sums[i], trials) ** 2
-        stderr.append(math.sqrt(max(0.0, float(var)) / trials) / k)
-    spec = config.ensemble_spec()
+    means = [Fraction(s, trials * k) for s in s1]
+    variances = [Fraction(s2[i][i], trials) - Fraction(s1[i], trials) ** 2 for i in range(n)]
+    stderr = [math.sqrt(max(0.0, float(var)) / trials) / k for var in variances]
+    spec = getattr(config.source, "spec", None)  # None for a deterministic source
     pred = exact_lln_prediction(spec) if spec is not None else None
-    tol = config.tolerances.lln_abs
-    criteria = []
     if pred is not None:
-        for i in range(n):
-            err = abs(float(means[i] - pred[i]))
-            criteria.append(
-                {
-                    "name": f"lln_coordinate_{i + 1}",
-                    "target": str(pred[i]),
-                    "estimate": float(means[i]),
-                    "abs_error": err,
-                    "tolerance": tol,
-                    "passed": err <= tol,
-                    "trials": trials,
-                }
-            )
+        checks = [
+            (f"lln_coordinate_{i + 1}", str(x), float(m), abs(float(m - x)))
+            for i, (x, m) in enumerate(zip(pred, means))
+        ]
         notes = []
     else:
         # symplectic symmetry: opposite coordinate sums agree
         ref = float(means[0] + means[n - 1])
+        checks = []
         for i in range(1, n // 2):
             got = float(means[i] + means[n - 1 - i])
-            criteria.append(
-                {
-                    "name": f"balanced_sum_{i + 1}_vs_1",
-                    "target": ref,
-                    "estimate": got,
-                    "abs_error": abs(got - ref),
-                    "tolerance": tol,
-                    "passed": abs(got - ref) <= tol,
-                    "trials": trials,
-                }
-            )
+            checks.append((f"balanced_sum_{i + 1}_vs_1", ref, got, abs(got - ref)))
         notes = ["no closed-form limit for this law; checking balanced symmetry"]
-    return ExperimentReport(
-        kind="lln",
-        config=config.to_json(),
+    tol = config.tolerances.lln_abs
+    criteria = [
+        _criterion(name, target, estimate, err <= tol, trials, abs_error=err, tolerance=tol)
+        for name, target, estimate, err in checks
+    ]
+    return _report(
+        "lln",
+        config,
+        results,
+        t0,
+        criteria,
         predictions={"limit": [str(x) for x in pred] if pred else None},
-        estimates={
-            "mean_normalized": [float(m) for m in means],
-            "stderr": stderr,
-        },
-        criteria=criteria,
-        passed=all(c["passed"] for c in criteria),
+        estimates={"mean_normalized": [float(m) for m in means], "stderr": stderr},
         notes=notes,
-        counters=_counters(results),
-        runtime_seconds=time.time() - t0,
     )
 
 
@@ -332,64 +320,39 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     transformed corner-weight covariance, plus moment-based normality bands
     for every coordinate with a nonzero limiting variance."""
     t0 = time.time()
-    spec = config.ensemble_spec()
+    spec = getattr(config.source, "spec", None)
     target = exact_clt_target(spec) if spec is not None else None
     if target is None:
         raise BadConfiguration("the fluctuation target needs a finite-support law")
     mean, _sigma, lsig = target
     results = _run_trials(config)
-    n = len(results[0][0])
+    s1, s2, s3, s4 = _power_sums(results)
+    n = len(s1)
     k = config.k_max
     trials = config.trials
-    s1 = [0] * n
-    s2 = [[0] * n for _ in range(n)]
-    s3 = [0] * n
-    s4 = [0] * n
-    for lam, *_ in results:
-        for i, x in enumerate(lam):
-            s1[i] += x
-            s3[i] += x**3
-            s4[i] += x**4
-            row = s2[i]
-            for j, y in enumerate(lam):
-                row[j] += x * y
+    mu = [Fraction(s, trials) for s in s1]
     # sample covariance of lam/sqrt(k), exactly
-    emp = [
-        [
-            (Fraction(s2[i][j], trials) - Fraction(s1[i], trials) * Fraction(s1[j], trials))
-            / k
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    emp = [[(Fraction(s2[i][j], trials) - mu[i] * mu[j]) / k for j in range(n)] for i in range(n)]
     tol = config.tolerances.clt_rel
     trace = sum(lsig[i][i] for i in range(n))
     near_zero_tol = tol * float(trace) / n
-    criteria = []
     degenerate = trace == 0
+    criteria = []
     for i in range(n):
         for j in range(i, n):
             tgt = lsig[i][j]
             got = emp[i][j]
             if abs(tgt) > Fraction(1, 10**6):
                 err = abs(float((got - tgt) / tgt))
-                passed = err <= tol
-                mode = "relative"
+                passed, mode, band = err <= tol, "relative", tol
             else:
                 err = abs(float(got - tgt))
-                passed = err <= near_zero_tol or degenerate
-                mode = "absolute"
+                passed, mode, band = err <= near_zero_tol or degenerate, "absolute", near_zero_tol
             criteria.append(
-                {
-                    "name": f"cov_{i + 1}{j + 1}",
-                    "target": str(tgt),
-                    "estimate": float(got),
-                    "error": err,
-                    "mode": mode,
-                    "tolerance": tol if mode == "relative" else near_zero_tol,
-                    "passed": bool(passed),
-                    "trials": trials,
-                }
+                _criterion(
+                    f"cov_{i + 1}{j + 1}", str(tgt), float(got), passed, trials,
+                    error=err, mode=mode, tolerance=band,
+                )
             )
     notes = []
     if degenerate:
@@ -399,58 +362,35 @@ def run_clt_experiment(config: ExperimentConfig) -> ExperimentReport:
         skew_band = 3 * math.sqrt(6 / trials)
         kurt_band = 3 * math.sqrt(24 / trials)
         for i in range(n):
-            if lsig[i][i] == 0:
+            e1 = mu[i]
+            e2, e3, e4 = (Fraction(s, trials) for s in (s2[i][i], s3[i], s4[i]))
+            m2 = e2 - e1**2
+            if lsig[i][i] == 0 or m2 == 0:
                 continue
-            mu = Fraction(s1[i], trials)
-            m2 = Fraction(s2[i][i], trials) - mu**2
-            if m2 == 0:
-                continue
-            m3 = Fraction(s3[i], trials) - 3 * mu * Fraction(s2[i][i], trials) + 2 * mu**3
-            m4 = (
-                Fraction(s4[i], trials)
-                - 4 * mu * Fraction(s3[i], trials)
-                + 6 * mu**2 * Fraction(s2[i][i], trials)
-                - 3 * mu**4
-            )
-            skew = float(m3) / float(m2) ** 1.5
-            exkurt = float(m4) / float(m2) ** 2 - 3
-            criteria.append(
-                {
-                    "name": f"skewness_{i + 1}",
-                    "target": 0.0,
-                    "estimate": skew,
-                    "error": abs(skew),
-                    "tolerance": skew_band,
-                    "passed": abs(skew) <= skew_band,
-                    "trials": trials,
-                }
-            )
-            criteria.append(
-                {
-                    "name": f"excess_kurtosis_{i + 1}",
-                    "target": 0.0,
-                    "estimate": exkurt,
-                    "error": abs(exkurt),
-                    "tolerance": kurt_band,
-                    "passed": abs(exkurt) <= kurt_band,
-                    "trials": trials,
-                }
-            )
-    return ExperimentReport(
-        kind="clt",
-        config=config.to_json(),
+            m3 = e3 - 3 * e1 * e2 + 2 * e1**3
+            m4 = e4 - 4 * e1 * e3 + 6 * e1**2 * e2 - 3 * e1**4
+            for name, stat, band in (
+                ("skewness", float(m3) / float(m2) ** 1.5, skew_band),
+                ("excess_kurtosis", float(m4) / float(m2) ** 2 - 3, kurt_band),
+            ):
+                criteria.append(
+                    _criterion(
+                        f"{name}_{i + 1}", 0.0, stat, abs(stat) <= band, trials,
+                        error=abs(stat), tolerance=band,
+                    )
+                )
+    return _report(
+        "clt",
+        config,
+        results,
+        t0,
+        criteria,
         predictions={
             "mean": [str(x) for x in mean],
             "covariance": [[str(x) for x in row] for row in lsig],
         },
-        estimates={
-            "covariance": [[float(x) for x in row] for row in emp],
-        },
-        criteria=criteria,
-        passed=all(c["passed"] for c in criteria),
+        estimates={"covariance": [[float(x) for x in row] for row in emp]},
         notes=notes,
-        counters=_counters(results),
-        runtime_seconds=time.time() - t0,
     )
 
 
@@ -462,56 +402,35 @@ def run_bounded_difference_experiment(config: ExperimentConfig) -> ExperimentRep
     t0 = time.time()
     results = _run_trials(config)
     trials = config.trials
-    stabilized = sum(1 for r in results if r.max_gap == r.max_gap_q2)
+    frac = sum(1 for r in results if r.max_gap == r.max_gap_q2) / trials
     grew = sum(1 for r in results if r.max_gap > r.max_gap_q2)
-    frac = stabilized / trials
-    maxima = [r.max_gap for r in results]
     if config.expect_split:
-        passed = frac >= 0.95
-        name = "stabilized_fraction"
-        crit = {
-            "name": name,
-            "target": ">= 0.95",
-            "estimate": frac,
-            "passed": passed,
-            "trials": trials,
-        }
+        criterion = _criterion("stabilized_fraction", ">= 0.95", frac, frac >= 0.95, trials)
         notes = []
     else:
-        passed = grew == trials
-        crit = {
-            "name": "max_gap_keeps_growing",
-            "target": "all trials",
-            "estimate": grew / trials,
-            "passed": passed,
-            "trials": trials,
-        }
+        criterion = _criterion(
+            "max_gap_keeps_growing", "all trials", grew / trials, grew == trials, trials
+        )
         notes = ["non-split regime: the gap is expected to diverge"]
-    return ExperimentReport(
-        kind="bounded-diff",
-        config=config.to_json(),
+    maxima = sorted(r.max_gap for r in results)
+    quartiles = {
+        name: float(maxima[min(trials - 1, int(q * trials))])
+        for name, q in (("q1", 0.25), ("median", 0.5), ("q3", 0.75))
+    }
+    return _report(
+        "bounded-diff",
+        config,
+        results,
+        t0,
+        [criterion],
         predictions={},
         estimates={
             "stabilized_fraction": frac,
             "grew_fraction": grew / trials,
-            "max_gap_quartiles": {
-                "q1": float(_quantile(maxima, 0.25)),
-                "median": float(_quantile(maxima, 0.5)),
-                "q3": float(_quantile(maxima, 0.75)),
-            },
+            "max_gap_quartiles": quartiles,
         },
-        criteria=[crit],
-        passed=passed,
         notes=notes,
-        counters=_counters(results),
-        runtime_seconds=time.time() - t0,
     )
-
-
-def _quantile(xs: list, q: float) -> float:
-    ys = sorted(xs)
-    idx = min(len(ys) - 1, int(q * len(ys)))
-    return float(ys[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,49 @@ MALFORMED = {
     "config-is-a-list": ("lln", [EXPERIMENT], [], None),
     "config-trials-null": ("lln", {**EXPERIMENT, "trials": None}, [], None),
     "config-spec-a-number": ("lln", {"spec": 5}, [], None),
+    "config-fractional-k_max": ("lln", {**EXPERIMENT, "k_max": 8.9}, [], None),
+    "config-fractional-trials": ("lln", {**EXPERIMENT, "trials": 2.7}, [], None),
+    "config-trials-true": ("lln", {**EXPERIMENT, "trials": True}, [], None),
+    "config-expect_split-a-string": (
+        "bounded-diff",
+        {**EXPERIMENT, "expect_split": "false"},
+        [],
+        None,
+    ),
+    "config-unknown-field": (
+        "lln",
+        {"preset": "fixed-10", "kmax": 10, "trials": 2, "master_seed": 1, "jobs": 1},
+        [],
+        None,
+    ),
+    "config-tv_max": ("lln", {**EXPERIMENT, "tolerances": {"tv_max": 0.02}}, [], None),
+    "spec-fractional-p": ("simulate", {**SPEC_10, "p": 2.5}, [], None),
+    "spec-fractional-signature-part": ("simulate", {**SPEC_10, "kind": {"FixedSN": [1.7, 0]}}, [], None),
+    "spec-fractional-ambient": ("simulate", {**SPEC_10, "kind": {"CornerOfHaar": 3.5}}, [], None),
+    "spec-fractional-precision_base": ("simulate", {**SPEC_10, "precision_base": 4.9}, [], None),
+    "spec-unknown-field": ("simulate", {**SPEC_10, "precison_base": 4}, [], None),
     "hl-eval-too-few-points": (
         "hl-eval",
         None,
         ["--signature", "2,0", "--points", "1", "--t", "1/2"],
         None,
     ),
+}
+
+
+# MALFORMED cases whose error message must name the refused field
+NAMED_FIELD = {
+    "config-fractional-k_max": "'k_max'",
+    "config-fractional-trials": "'trials'",
+    "config-trials-true": "'trials'",
+    "config-expect_split-a-string": "'expect_split'",
+    "config-unknown-field": "'kmax'",
+    "config-tv_max": "'tv_max'",
+    "spec-fractional-p": "'p'",
+    "spec-fractional-signature-part": "'kind'",
+    "spec-fractional-ambient": "'kind'",
+    "spec-fractional-precision_base": "'precision_base'",
+    "spec-unknown-field": "'precison_base'",
 }
 
 
@@ -110,6 +147,11 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", list(NAMED_FIELD))
+    def test_refused_field_is_named(self, tmp_path, capsys, name):
+        assert run(malformed_argv(name, tmp_path)) == 1
+        assert NAMED_FIELD[name] in capsys.readouterr().err
 
     def test_malformed_input_through_the_entry_point(self, tmp_path):
         done = subprocess.run(
@@ -511,6 +553,15 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert "non-split" in capsys.readouterr().out
+
+    def test_counterexample_config_defaults_to_non_split(self, tmp_path, capsys):
+        """The law, not the way it is named, decides expect_split: a config
+        file naming the counterexample gets the preset's verdict."""
+        path = tmp_path / "cfg.json"
+        cfg = {"preset": "paper-counterexample", **SIZES, "k_max": 16, "trials": 1}
+        path.write_text(json.dumps(cfg))
+        assert run(["bounded-diff", "--config", str(path)]) == 0
+        assert "[ok] max_gap_keeps_growing" in capsys.readouterr().out
 
     def test_failing_non_split_bounded_diff_exits_two(self, tmp_path, capsys):
         cfg = {**EXPERIMENT, "k_max": 40, "trials": 3, "expect_split": False}

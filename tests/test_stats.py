@@ -1,5 +1,7 @@
 """Experiment harness: determinism, pass logic, goodness-of-fit utilities."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -50,6 +52,14 @@ class TestConfig:
         )
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_expect_split_follows_the_law(self):
+        """Unset, it is false exactly for the deterministic counterexample;
+        a given value wins."""
+        assert ExperimentConfig(preset="paper-counterexample").expect_split is False
+        assert ExperimentConfig(preset="fixed-10").expect_split is True
+        given = ExperimentConfig(preset="paper-counterexample", expect_split=True)
+        assert given.expect_split is True
 
     def test_spec_config(self):
         obj = {
@@ -223,3 +233,59 @@ class TestDeterminism:
             rep.pop("runtime_seconds")
             rep["config"].pop("jobs")
         assert a == b
+
+
+def _golden_cases():
+    """(runner, config keywords) of the reports test_report_golden pins: an
+    escalating spec, the balanced-symmetry fallback, a degenerate clt, a
+    p = 3 clt with relative and absolute covariance criteria, and both
+    bounded-diff verdicts."""
+    from padic_rmt.ensembles import CornerOfHaar, EnsembleSpec, FixedSN, SNMixture
+    from padic_rmt.padic import Prime
+
+    escalating = EnsembleSpec(Prime(2), 3, CornerOfHaar(4), precision_base=4)
+    degenerate = EnsembleSpec(Prime(2), 2, FixedSN(sig(1, 1)))
+    mixed_modes = EnsembleSpec(
+        Prime(3), 3, SNMixture(((sig(1, 1, 0), F(1, 2)), (sig(2, 1, 1), F(1, 2))))
+    )
+    return [
+        (run_lln_experiment, {"preset": "fixed-10", "k_max": 60, "trials": 6}),
+        (run_lln_experiment, {"spec": escalating, "k_max": 120, "trials": 4}),
+        (run_lln_experiment, {"preset": "gsp4-fixed-1100", "k_max": 20, "trials": 3}),
+        (run_clt_experiment, {"preset": "fixed-10", "k_max": 40, "trials": 30}),
+        (run_clt_experiment, {"spec": degenerate, "k_max": 20, "trials": 5}),
+        (run_clt_experiment, {"spec": mixed_modes, "k_max": 30, "trials": 12}),
+        (run_bounded_difference_experiment, {"preset": "fixed-10", "k_max": 80, "trials": 8}),
+        (
+            run_bounded_difference_experiment,
+            {"preset": "paper-counterexample", "k_max": 16, "trials": 1, "expect_split": False},
+        ),
+    ]
+
+
+# SHA-256 over the computed parts of the _golden_cases reports at master
+# seed 31, in key order; see test_report_golden
+REPORT_GOLDEN_SHA256 = "6d38c6ee418fa72f2b749db3794d3603b70c53a44ac5207ade88231f4edbbef6"
+REPORT_GOLDEN_KEYS = ("predictions", "estimates", "criteria", "passed", "notes", "counters")
+
+
+class TestReportGolden:
+    def test_report_golden(self):
+        """What the experiments compute, with the criteria in report order,
+        is a fixed function of (config, master_seed), the same for any
+        --jobs."""
+        h = hashlib.sha256()
+        escalations = 0
+        modes = set()
+        for runner, keywords in _golden_cases():
+            computed = []
+            for jobs in (1, 2):
+                cfg = ExperimentConfig(master_seed=31, jobs=jobs, **keywords)
+                rep = runner(cfg).to_json()
+                computed.append(json.dumps([rep["kind"]] + [rep[k] for k in REPORT_GOLDEN_KEYS]))
+            assert computed[0] == computed[1], keywords
+            h.update(computed[0].encode())
+            escalations += rep["counters"]["escalations"]
+            modes |= {c.get("mode") for c in rep["criteria"]}
+        assert escalations > 0 and {"relative", "absolute"} <= modes
+        assert h.hexdigest() == REPORT_GOLDEN_SHA256
