@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, isfinite, lcm
 
 from .errors import DimensionMismatch
 from .padic import MAX_PROFILE_ROWS, PadicMatrix, Prime, Signature, _p_int, _scale_columns
@@ -174,6 +174,14 @@ def json_int(x) -> int:
     return x
 
 
+def json_number(x) -> int | float:
+    """A finite JSON number; true, false, NaN, the infinities and strings
+    are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not isfinite(x):
+        raise ValueError(f"expected a finite number, not {x!r}")
+    return x
+
+
 def json_bool(x) -> bool:
     """A JSON true or false; no other value is read as a truth value."""
     if not isinstance(x, bool):
@@ -263,12 +271,17 @@ def _det_mod_p(rows: list[list[int]], p: int) -> int:
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             det = -det
-        inv = pow(rows[c][c], -1, p)
-        det = det * rows[c][c] % p
+        top = rows[c]
+        inv = pow(top[c], -1, p)
+        det = det * top[c] % p
+        # clear column c below the pivot in place; later pivots read only
+        # the columns right of c
         for r in range(c + 1, n):
-            f = rows[r][c] * inv % p
+            row = rows[r]
+            f = row[c] * inv % p
             if f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+                for j in range(c + 1, n):
+                    row[j] = (row[j] - f * top[j]) % p
     return det % p
 
 
@@ -316,7 +329,7 @@ def _left_grid(
     lam: Signature, p: int, precision: int, rng: RngStream, path: PathLike
 ) -> tuple[list[list[int]], int]:
     """Grid and shift of U * diag(p^lam) with Haar U drawn from path + ("U",)."""
-    u = _haar_gl_grid(len(lam), p, precision, rng, path + ("U",))
+    u = _haar_gl_grid(len(lam.parts), p, precision, rng, path + ("U",))
     return _scale_columns(u, lam, p, precision)
 
 

@@ -357,15 +357,26 @@ def diag_signature(
     return PadicMatrix(pi, precision, shift, res, zeros)
 
 
+@lru_cache(maxsize=256)
+def _column_scaling(
+    parts: tuple[int, ...], p: int, precision: int
+) -> tuple[int, tuple[int, ...], int]:
+    """The shift, column scales p^(part - shift) and modulus p^precision
+    of _scale_columns for the signature with these parts."""
+    shift = min(0, parts[-1])
+    return shift, tuple(p ** (x - shift) for x in parts), p**precision
+
+
 def _scale_columns(
     u, lam: Signature, p: int, precision: int
 ) -> tuple[list[list[int]], int]:
     """U * diag(p^(lam - shift)) mod p^precision and its shift, the
     smallest part of lam when negative (else 0)."""
-    shift = min(0, lam[len(lam) - 1])
-    mod = p**precision
-    scale = [p ** (x - shift) for x in lam]
-    return [[x * s % mod for x, s in zip(row, scale)] for row in u], shift
+    shift, scale, mod = _column_scaling(lam.parts, p, precision)
+    out = []
+    for row in u:
+        out.append([x * s % mod for x, s in zip(row, scale)])
+    return out, shift
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +539,7 @@ def minor_profile_masks(
         raise DimensionMismatch("rows must be <= cols")
     mod = p**precision
     width = 1 << cols
+    gcd = math.gcd
     # dets[R][C]: the minor on row mask R and column mask C, mod p^precision
     dets: list = [None] * (1 << rows)
     dets[0] = [1]
@@ -543,9 +555,9 @@ def minor_profile_masks(
             level[cm] = det % mod
         dets[rm] = level
         # the gcd of the minors has the valuation of the smallest nonzero one
-        g = math.gcd(*level)
+        g = gcd(*level)
         if g:
-            out[rm] = _int_valuation(g, p)
+            out[rm] = (g & -g).bit_length() - 1 if p == 2 else _int_valuation(g, p)
         elif not all(_minor_exactly_zero(zeros, rm, cm) for cm, _ in terms):
             raise PrecisionExhausted(
                 f"all minors of rows {_bits(rm)} vanish mod p^{precision}"

@@ -65,9 +65,9 @@ class EnsembleSource:
         self, k: int, rng: RngStream
     ) -> tuple[list[int | None], int, list[tuple[int, int, int]]]:
         lam = step_signature(self.spec, rng, k)
-        if lam is not None and lam[0] == lam[self.n - 1] <= 0:
+        if lam is not None and lam.parts[0] == lam.parts[-1] <= 0:
             # lam - shift is all zeros: the step is a unit, nothing to draw
-            return self.unit_profile, lam[0], []
+            return self.unit_profile, lam.parts[0], []
         precision: int | None = None
         escalations: list[tuple[int, int, int]] = []
         for _ in range(MAX_PRECISION_DOUBLINGS + 1):
@@ -158,13 +158,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _bottom_rows(n: int, j: int) -> list[list[tuple[int, int]]]:
+def _bottom_rows(n: int, j: int) -> list[list[tuple[int, int, int, int]]]:
     """The nonempty subsets of the bottom j of n rows, grouped by size, as
-    (submask, row mask) pairs: bit b of the submask picks the b-th of those
-    rows, and the row mask names the same rows among all n."""
-    table: list[list[tuple[int, int]]] = [[] for _ in range(j + 1)]
+    (submask, row mask, rest, low) tuples: bit b of the submask picks the
+    b-th of those rows, the row mask names the same rows among all n, and
+    rest is the submask without its lowest row, the low-th."""
+    table: list[list[tuple[int, int, int, int]]] = [[] for _ in range(j + 1)]
     for mask in range(1, 1 << j):
-        table[mask.bit_count()].append((mask, mask << (n - j)))
+        low = (mask & -mask).bit_length() - 1
+        table[mask.bit_count()].append((mask, mask << (n - j), mask & (mask - 1), low))
     return table
 
 
@@ -172,25 +174,25 @@ def _sn_scaled_rows(
     dparts: list[int],
     g: list[int | None],
     shift: int,
-    rows: list[list[tuple[int, int]]],
+    rows: list[list[tuple[int, int, int, int]]],
 ) -> list[int]:
     """Singular numbers (non-increasing) of diag(p^dparts) * (the rows of
     the table `rows`, see _bottom_rows), from the step matrix's profile g
     and shift; dparts[t] scales the t-th of those rows."""
     size = len(dparts)
-    # dsum over the submasks of the selected rows
-    sub = [0] * (1 << size)
-    for mask in range(1, 1 << size):
-        sub[mask] = sub[mask & (mask - 1)] + dparts[(mask & -mask).bit_length() - 1]
+    # dsum over the submasks of the selected rows, each built from its rest
+    # one size earlier
+    dsum = [0] * (1 << size)
     parts = [0] * size
     s_prev = 0
     for c in range(1, size + 1):
         best = None
-        for mask, row_mask in rows[c]:
+        for mask, row_mask, rest, low in rows[c]:
+            d = dsum[mask] = dsum[rest] + dparts[low]
             gv = g[row_mask]
             if gv is None:
                 continue
-            val = sub[mask] + gv
+            val = d + gv
             if best is None or val < best:
                 best = val
         if best is None:
@@ -219,32 +221,36 @@ def iter_coupled_steps(
     recursion on all rows, so level n is the product sequence itself.
     """
     n = source.n
+    profile = source.profile
     rows = [_bottom_rows(n, j) for j in range(n + 1)]  # rows[n]: all rows
-    suffix_mask = [0] * (n + 2)
-    for i in range(n, 0, -1):
-        suffix_mask[i] = suffix_mask[i + 1] | (1 << (i - 1))
+    all_rows = rows[n]
+    # corner i (rows i..n) and its size; the single-row masks
+    corners = [((1 << n) - (1 << (i - 1)), n - i + 1) for i in range(1, n + 1)]
+    singles = [1 << r for r in range(n)]
     lam = [0] * n
     v = [0] * n
     bottoms = [[0] * j for j in range(n)]  # bottoms[j]: levels 1..n-1
     for k in range(1, k_max + 1):
-        g, shift, esc = source.profile(k, rng)
+        g, shift, esc = profile(k, rng)
         if esc and escalation_log is not None:
             escalation_log.extend(esc)
         # corner weights and the smallest singular number of the step matrix
-        w = tuple(
-            g[suffix_mask[i]] + (n - i + 1) * shift for i in range(1, n + 1)
-        )
-        sn_last = min(g[1 << r] for r in range(n)) + shift
+        # (plain loops: at these lengths a comprehension costs more)
+        w = []
+        for mask, size in corners:
+            w.append(g[mask] + size * shift)
+        sn_last = min(map(g.__getitem__, singles)) + shift
         # product-sequence update: singular numbers of diag(p^lam) * A
-        new_lam = _sn_scaled_rows(lam, g, shift, rows[n])
-        # corner-sum update and the margins of this transition
-        new_v = list(v)
-        for i in range(n):
-            nxt = w[i + 1] if i + 1 < n else 0
-            new_v[i] = v[i] + w[i] - nxt
-        margins = tuple(
-            v[i] - new_v[i + 1] + sn_last for i in range(n - 1)
-        )
+        new_lam = _sn_scaled_rows(lam, g, shift, all_rows)
+        # corner-sum update v_i += w_i - w_(i+1), and the margins of this
+        # transition
+        new_v = []
+        for i in range(n - 1):
+            new_v.append(v[i] + w[i] - w[i + 1])
+        new_v.append(v[n - 1] + w[n - 1])
+        margins = []
+        for i in range(n - 1):
+            margins.append(v[i] - new_v[i + 1] + sn_last)
         interp = None
         if with_interpolation:
             levels = []
@@ -260,7 +266,7 @@ def iter_coupled_steps(
         lam, v = new_lam, new_v
         if sum(lam) != sum(v):
             raise ConstraintViolated(f"step {k}: weight conservation violated")
-        yield k, tuple(lam), tuple(v), w, sn_last, margins, interp
+        yield k, tuple(lam), tuple(v), tuple(w), sn_last, tuple(margins), interp
 
 
 def run_coupled_trajectory(

@@ -66,9 +66,32 @@ def _rejected(p: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
+def _slice_bits(count: int, p: int) -> int:
+    """The bits of each block that one entry of a sliced draw of `count`
+    entries reads; 0 means: fall back to per-entry lanes."""
+    if p == 2:
+        if count > _BLOCK_BITS:
+            raise ValueError("a sliced p = 2 draw has at most one entry per block bit")
+        return _BLOCK_BITS // count
+    width = (p - 1).bit_length()
+    return (_BLOCK_BITS // width) // count * width
+
+
+@lru_cache(maxsize=None)
 def _slices(count: int, per: int) -> tuple[slice, ...]:
     """The chunk ranges of the `count` entries of a sliced draw."""
     return tuple(slice(lo, lo + per) for lo in range(0, count * per, per))
+
+
+def _bit_slices(block: bytes, count: int, cap: int, bits: int) -> list[int]:
+    """The low `bits` bits of each of the `count` cap-bit slices of a block."""
+    b = int.from_bytes(block, "little")
+    mask = (1 << bits) - 1
+    out = []
+    for _ in range(count):
+        out.append(b & mask)
+        b >>= cap
+    return out
 
 
 def _from_digits(digits: bytes | list[int], p: int) -> int:
@@ -135,7 +158,7 @@ class RngStream:
         """Make (path, attempt) the memo lane, keeping its blocks if it already is."""
         if path is not self._path:
             self._path = path
-            self._path_bytes = "".join([f"{c}|" for c in path]).encode()
+            self._path_bytes = ("%s|" * len(path) % path).encode()
         lane = b"%s%d|" % (self._path_bytes, attempt)
         if lane != self._lane:
             self._lane = lane
@@ -144,12 +167,9 @@ class RngStream:
 
     def _block(self, index: int) -> bytes:
         blocks = self._blocks
-        while len(blocks) <= index:
-            blocks.append(self.lane_block(self._lane, len(blocks)))
+        for i in range(len(blocks), index + 1):
+            blocks.append(self.lane_block(self._lane, i))
         return blocks[index]
-
-    def _block_int(self, index: int) -> int:
-        return int.from_bytes(self._block(index), "little")
 
     def _chunk_block(self, index: int, width: int) -> bytes | list[int]:
         if width != self._width:
@@ -238,28 +258,18 @@ class RngStream:
     # geometry depends only on (count, p), so extending the precision only
     # reads further blocks and never moves earlier digits.
 
-    def _slice_bits(self, count: int, p: int) -> int:
-        if p == 2:
-            if count > _BLOCK_BITS:
-                raise ValueError("a sliced p = 2 draw has at most one entry per block bit")
-            return _BLOCK_BITS // count
-        width = (p - 1).bit_length()
-        chunks = (_BLOCK_BITS // width) // count
-        return chunks * width  # 0 means: fall back to per-entry lanes
-
     def sliced_first_digits(
         self, path: PathLike, count: int, p: int, attempt: int = 0
     ) -> list[int]:
         """The first base-p digit of every entry of a sliced draw."""
-        cap = self._slice_bits(count, p)
+        cap = _slice_bits(count, p)
         if cap == 0:
             return [
                 self.digits(path + (e,), 1, p, attempt)[0] for e in range(count)
             ]
         self._select(path, attempt)
         if p == 2:
-            b = self._block_int(0)
-            return [(b >> (e * cap)) & 1 for e in range(count)]
+            return _bit_slices(self._block(0), count, cap, 1)
         per = cap // (p - 1).bit_length()
         return [d[0] for d in self._slice_digits(p, count, per, 1)]
 
@@ -267,7 +277,7 @@ class RngStream:
         self, path: PathLike, count: int, p: int, precision: int, attempt: int = 0
     ) -> list[int]:
         """All `count` residues of a sliced draw, in [0, p^precision)."""
-        cap = self._slice_bits(count, p)
+        cap = _slice_bits(count, p)
         if cap == 0:
             return [
                 self.residue(path + (e,), p, precision, attempt)
@@ -275,8 +285,10 @@ class RngStream:
             ]
         self._select(path, attempt)
         if p == 2:
+            if precision <= cap:
+                return _bit_slices(self._block(0), count, cap, precision)
             nblocks = -(-precision // cap)
-            blocks = [self._block_int(i) for i in range(nblocks)]
+            blocks = [int.from_bytes(self._block(i), "little") for i in range(nblocks)]
             mask_full = (1 << precision) - 1
             cap_mask = (1 << cap) - 1
             out = []

@@ -25,6 +25,7 @@ from .ensembles import (
     HaarEntries,
     json_bool,
     json_int,
+    json_number,
     parse_fields,
 )
 from .errors import BadConfiguration
@@ -101,13 +102,14 @@ class ExperimentConfig:
         return cls(**parse_fields(obj, _CONFIG_FIELDS))
 
 
+_TOLERANCE_FIELDS = {"lln_abs": json_number, "clt_rel": json_number}
 _CONFIG_FIELDS = {
     "spec": EnsembleSpec.from_json,
     "preset": lambda x: x,
     "k_max": json_int,
     "trials": json_int,
     "master_seed": json_int,
-    "tolerances": lambda x: Tolerances(**x),
+    "tolerances": lambda x: Tolerances(**parse_fields(x, _TOLERANCE_FIELDS)),
     "jobs": json_int,
     "expect_split": json_bool,
 }
@@ -184,9 +186,9 @@ def _terminal_stats(source, k_max: int, master_seed: int, trial: int) -> TrialRe
     escalations: list = []
     steps = iter_coupled_steps(source, k_max, rng, escalation_log=escalations)
     for k, lam, v, _w, _sn, _mg, _i in steps:
-        diff = max(abs(a - b) for a, b in zip(lam, v))
-        if diff > m:
-            m = diff
+        for a, b in zip(lam, v):
+            if abs(a - b) > m:
+                m = abs(a - b)
         if k == q1:
             m_q1 = m
         if k == q2:

@@ -3,6 +3,7 @@ attributes its tracer wraps and the command lines its workloads run.  A
 rename or a dropped flag fails here, not in every benchmark run."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -47,3 +48,49 @@ def test_workload_command_lines_parse(bench, tmp_path):
                 assert callable(args.func), argv
                 checked += 1
     assert checked == 3 * 4
+
+
+@pytest.fixture
+def tracer(bench, monkeypatch):
+    """A tracing.Tracer installed in this process; every attribute it wraps
+    gets its original back when the test ends."""
+    tracing, _ = bench
+    for module_name, attr, _span in tracing.WRAPPED:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, leaf, getattr(owner, leaf))
+    out = tracing.Tracer()
+    tracing.install(out)
+    return out
+
+
+def test_traced_clt_counts_every_step_and_draw(tracer, tmp_path):
+    """The traced checks of the clt workload: one processes.step span per
+    coupled step, and one Haar draw per step whose rejection attempts are
+    the sliced_first_digits calls under it."""
+    from padic_rmt import cli
+
+    argv = ["clt", "--preset", "fixed-10", "--kmax", "8", "--trials", "3", "--jobs", "1",
+            "--seed", "5", "--out", str(tmp_path / "clt.json")]
+    assert cli.main(argv) in (0, 2)
+    assert tracer.calls.get("processes.step") == 24
+    assert tracer.calls.get("ensembles.haar_gl") == 24
+    assert tracer.edges.get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 24
+
+
+def test_traced_escalations_match_the_metadata(tracer, tmp_path):
+    """Every escalation metadata.json lists is one profile certification
+    that raised, as the escalating simulate workload checks."""
+    from padic_rmt import cli
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}))
+    out = tmp_path / "traj"
+    argv = ["simulate", "--config", str(spec), "--kmax", "200", "--trials", "2", "--jobs", "1",
+            "--seed", "5", "--with-interpolation", "--out", str(out)]
+    assert cli.main(argv) == 0
+    escalations = json.loads((out / "metadata.json").read_text())["escalations"]
+    assert escalations
+    assert tracer.raised.get("padic.minor_profile_masks", 0) == len(escalations)

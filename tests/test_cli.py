@@ -62,6 +62,10 @@ MALFORMED = {
         None,
     ),
     "config-tv_max": ("lln", {**EXPERIMENT, "tolerances": {"tv_max": 0.02}}, [], None),
+    "config-tolerance-true": ("lln", {**EXPERIMENT, "tolerances": {"lln_abs": True}}, [], None),
+    "config-tolerance-nan": ("lln", {**EXPERIMENT, "tolerances": {"lln_abs": float("nan")}}, [], None),
+    "config-tolerance-infinity": ("lln", {**EXPERIMENT, "tolerances": {"clt_rel": float("inf")}}, [], None),
+    "config-tolerance-string": ("lln", {**EXPERIMENT, "tolerances": {"lln_abs": "0.1"}}, [], None),
     "spec-fractional-p": ("simulate", {**SPEC_10, "p": 2.5}, [], None),
     "spec-fractional-signature-part": ("simulate", {**SPEC_10, "kind": {"FixedSN": [1.7, 0]}}, [], None),
     "spec-fractional-ambient": ("simulate", {**SPEC_10, "kind": {"CornerOfHaar": 3.5}}, [], None),
@@ -84,6 +88,10 @@ NAMED_FIELD = {
     "config-expect_split-a-string": "'expect_split'",
     "config-unknown-field": "'kmax'",
     "config-tv_max": "'tv_max'",
+    "config-tolerance-true": "'lln_abs'",
+    "config-tolerance-nan": "'lln_abs'",
+    "config-tolerance-infinity": "'clt_rel'",
+    "config-tolerance-string": "'lln_abs'",
     "spec-fractional-p": "'p'",
     "spec-fractional-signature-part": "'kind'",
     "spec-fractional-ambient": "'kind'",

@@ -1,5 +1,6 @@
 """Samplers: laws, invariants, dispatch, and reproducibility."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,6 +17,7 @@ from padic_rmt.ensembles import (
     GSpHaar,
     HaarEntries,
     SNMixture,
+    _det_mod_p,
     draw_step_matrix,
     sample_bi_invariant,
     sample_corner_of_haar,
@@ -105,6 +107,20 @@ class TestHaar:
         )
         expected = {1: Fraction(1, 2), 2: Fraction(1, 2)}
         assert chi_square_gof(counts, expected, alpha=0.01).passed
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        n=st.integers(1, 6),
+        entries=st.lists(st.integers(0, 4), min_size=36, max_size=36),
+    )
+    def test_det_mod_p_is_the_determinant(self, p, n, entries):
+        rows = [[x % p for x in entries[i * n : (i + 1) * n]] for i in range(n)]
+        leibniz = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            leibniz += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+        assert _det_mod_p([row[:] for row in rows], p) == leibniz % p
 
 
 class TestBiInvariant:

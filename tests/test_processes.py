@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padic_rmt
 from padic_rmt.ensembles import (
@@ -208,6 +210,24 @@ class TestTrajectory:
         if isinstance(spec.kind, (CornerOfHaar, HaarEntries)):
             # the entry laws reach the escalation path at base 4
             assert a.escalations
+
+    @pytest.mark.parametrize("preset", SPEC_PRESETS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trial=st.integers(0, 10**6),
+        base=st.integers(4, 40),
+    )
+    def test_rows_do_not_depend_on_the_precision_base(self, preset, seed, trial, base):
+        # over seeds, trials and bases, including bases at and below the
+        # p = 2 slice widths, where a draw reads one block
+        spec = build_preset(preset)
+        rows = []
+        for b in (base, 2 * base):
+            source = as_source(replace(spec, precision_base=b))
+            steps = iter_coupled_steps(source, 60, RngStream(seed, trial))
+            rows.append([(lam, v) for _k, lam, v, *_ in steps])
+        assert rows[0] == rows[1]
 
     def test_engine_golden(self):
         """The rows iter_coupled_steps yields are a fixed function of (seed,

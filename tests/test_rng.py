@@ -204,3 +204,43 @@ def test_unit_steps_hash_nothing(monkeypatch):
     assert not seen
     zero = (0, 0, 0, 0)
     assert all(lam == v == w == zero for _, lam, v, w, *_ in rows)
+
+
+def _sliced_p2_by_definition(rng, path, count, precision, attempt):
+    """The residues of a p = 2 sliced draw from its definition: entry e
+    reads bits [e*cap, (e+1)*cap) of blocks 0, 1, ... of the lane
+    path|attempt|, concatenated, and keeps the first `precision` of them."""
+    cap = 512 // count
+    lane = "".join(f"{c}|" for c in path).encode() + b"%d|" % attempt
+    bits = []
+    for i in range(-(-precision // cap)):
+        block = int.from_bytes(rng.lane_block(lane, i), "little")
+        bits.append([block >> j & 1 for j in range(512)])
+    out = []
+    for e in range(count):
+        stream = [bit for block in bits for bit in block[e * cap : (e + 1) * cap]]
+        out.append(sum(bit << j for j, bit in enumerate(stream[:precision])))
+    return out
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 9, 16, 512])
+def test_sliced_p2_draws_match_their_definition(count, fresh):
+    """Precisions at and around the slice width, where a draw reads one
+    block or more, against the bits of lane_block itself; a shared stream
+    reads every lane after others, so its block memo is exercised too."""
+    shared = RngStream(77, 5)
+    cap = 512 // count
+    precisions = sorted({1, cap - 1, cap, cap + 1, 3 * cap} - {0})
+    for attempt in range(3):
+        for precision in precisions:
+            path = ("boundary", count, precision)
+            rng = RngStream(77, 5) if fresh else shared
+            want = _sliced_p2_by_definition(RngStream(77, 5), path, count, precision, attempt)
+            first = rng.sliced_first_digits(path, count, 2, attempt)
+            assert first == [x & 1 for x in want], (precision, attempt)
+            rng = RngStream(77, 5) if fresh else rng
+            assert rng.sliced_residues(path, count, 2, precision, attempt) == want, (
+                precision,
+                attempt,
+            )
