@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, lcm
+from operator import mul
 
 from .errors import DimensionMismatch
 from .padic import MAX_PROFILE_ROWS, PadicMatrix, Prime, Signature, _p_int, _scale_columns
@@ -297,6 +298,9 @@ def _haar_gl_grid(
         first = rng.sliced_first_digits(path, nn, p, attempt)
         if n == 2:
             ok = (first[0] * first[3] - first[1] * first[2]) % p != 0
+        elif n == 3:
+            a, b, c, d, e, f, g, h, i = first
+            ok = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p != 0
         else:
             ok = _det_mod_p([first[i * n : (i + 1) * n] for i in range(n)], p) != 0
         if ok:
@@ -322,7 +326,7 @@ def sample_haar_gl(
 def _mul_grids(a: list[list[int]], b, mod: int) -> list[list[int]]:
     """The product of two residue grids mod `mod`."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % mod for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
 def _left_grid(

@@ -190,9 +190,15 @@ class PadicMatrix:
         if any(len(row) != width for row in self.residues):
             raise ValueError("ragged rows")
         mod = self.p**self.precision
-        for i, row in enumerate(self.residues):
-            for j, r in enumerate(row):
+        for row in self.residues:
+            for r in row:
                 if not 0 <= r < mod:
+                    i, j = next(
+                        (i, j)
+                        for i, row in enumerate(self.residues)
+                        for j, r in enumerate(row)
+                        if not 0 <= r < mod
+                    )
                     raise ValueError(f"residue out of range at ({i},{j})")
         for i, j in self.exact_zeros:
             if self.residues[i][j] != 0:
@@ -308,9 +314,9 @@ def corner(a: PadicMatrix, i: int) -> PadicMatrix:
         raise IndexOutOfRange(f"corner index {i} for {a.rows} rows")
     start = i - 1
     res = a.residues[start:]
-    zeros = frozenset(
-        (r - start, c) for (r, c) in a.exact_zeros if r >= start
-    )
+    zeros = a.exact_zeros
+    if zeros:
+        zeros = frozenset((r - start, c) for (r, c) in zeros if r >= start)
     return PadicMatrix(a.p, a.precision, a.shift, res, zeros)
 
 
@@ -402,7 +408,7 @@ def _eliminate_pivot_valuations(
     cols = len(grid[0])
     if rows > cols:
         raise DimensionMismatch("rows must be <= cols")
-    work = [row[:] for row in grid]
+    work = [list(row) for row in grid]
     zeros = set(zeros)
     live_rows = list(range(rows))
     live_cols = list(range(cols))
@@ -418,9 +424,16 @@ def _eliminate_pivot_valuations(
                 r = wrow[j]
                 if r == 0:
                     continue
+                if r % p:
+                    # a unit: no entry has a smaller valuation, and the
+                    # scan order breaks ties, so the search is over
+                    vmin, pos = 0, (i, j)
+                    break
                 v = _int_valuation(r, p)
                 if vmin is None or v < vmin:
                     vmin, pos = v, (i, j)
+            if vmin == 0:
+                break
         if vmin is None:
             if all((i, j) in zeros for i in live_rows for j in live_cols):
                 raise SingularMatrix(
@@ -442,11 +455,12 @@ def _eliminate_pivot_valuations(
             base += vmin
         pivots.append(base)
         pi_, pj = pos
-        mod = p**n_eff
-        inv = pow(work[pi_][pj], -1, mod)
         prow = work[pi_]
         live_rows.remove(pi_)
         live_cols.remove(pj)
+        if live_rows:
+            mod = p**n_eff
+            inv = pow(prow[pj], -1, mod)
         for i in live_rows:
             wrow = work[i]
             if zeros and (i, pj) not in zeros:
@@ -466,8 +480,7 @@ def _eliminate_pivot_valuations(
 
 def smith_singular_numbers(a: PadicMatrix) -> Signature:
     """Singular numbers (non-increasing) of a full-row-rank matrix."""
-    grid = [list(row) for row in a.residues]
-    pivots = _eliminate_pivot_valuations(grid, a.exact_zeros, a.p, a.precision)
+    pivots = _eliminate_pivot_valuations(a.residues, a.exact_zeros, a.p, a.precision)
     parts = tuple(sorted((v + a.shift for v in pivots), reverse=True))
     return Signature(parts)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -473,6 +474,57 @@ class TestCornerDist:
         assert "TV distance" in out
         tv = float(out.rsplit("TV distance:", 1)[1])
         assert tv <= 0.05
+
+
+class TestSamplerGolden:
+    """The public samplers are fixed functions of their address: these
+    digests were taken before the odd-p digit decoding was reworked and
+    must never change.  The stream golden in test_rng pins the RngStream
+    draws; these pin what the samplers and corner-dist build on them."""
+
+    CORNER_DIST = {
+        (3, 2, 3000): "242d2b2fe39ea7a512baa01b12fdb1cf97f498416effbf786de11a17fecbb82f",
+        (3, 3, 3000): "10c40f2bc36d05de8e782312678c08b63dfecd690150bbf75337df27574ec3d6",
+        (5, 2, 3000): "dcb3513dee3d7b70318a15589a1c97adb328ffd8391439760b3ad54a6f2bc0a1",
+        (7, 2, 3000): "cc5502d8b1257ac8c812b9428a272f501f9373eb6e1db3b5f8bdc4260c44d7c1",
+        (257, 2, 300): "50007b496d1f24867151da0f5cbbb7fc113ebd1ba89bd38c36166f84a432732f",
+    }
+    SAMPLERS = {
+        ("bi", 3): "ddbb023b5659826c678e0f2072de63c2ddd867b9984b3a362536fa82289ac12c",
+        ("bi", 5): "bc81ba3a26c9041f1a06257a0999c8ab607bd98cc3441c8acfea657ff8bb1578",
+        ("corner", 3): "a50588fc58c1d3c7c63baa2f87d593af486c17a46efd8ddc2235b05ecc2fda06",
+        ("corner", 5): "96214ed162a7ef4564e60f966b05daa8e178f55b96c2912c3aa115903702d7d7",
+        ("gsp", 3): "003e84dd64e2791eed458221fa5a7ffd3b2a82346d2692735f603d1a4d68c9f5",
+        ("gsp", 5): "ed33035160b89aeaee6da63e4fcf5674d9e3a122ed786030277808b8d5ed8b17",
+    }
+
+    @pytest.mark.parametrize("p, level, samples", sorted(CORNER_DIST))
+    def test_corner_dist_monte_carlo(self, capsys, p, level, samples):
+        argv = ["corner-dist", "--signature", "2,1,0", "--level", str(level), "--p", str(p),
+                "--monte-carlo", str(samples), "--seed", "13"]
+        assert run(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.CORNER_DIST[p, level, samples]
+
+    @pytest.mark.parametrize("sampler, p", sorted(SAMPLERS))
+    def test_sampler_residues(self, sampler, p):
+        from padic_rmt.ensembles import sample_bi_invariant, sample_corner_of_haar
+        from padic_rmt.padic import Signature
+        from padic_rmt.rng import RngStream
+        from padic_rmt.symplectic import sample_haar_gsp
+
+        rng = RngStream(31, 2)
+        h = hashlib.sha256()
+        for i in range(200):
+            if sampler == "bi":
+                mat = sample_bi_invariant(Signature((2, 1, 0)), 3, 3, p, None, rng, ("bi", i))
+            elif sampler == "corner":
+                mat = sample_corner_of_haar(2, 3, 4, p, 12, rng, ("corner", i))
+            else:
+                mat = sample_haar_gsp(2, p, 12, rng, ("gsp", i)).matrix
+            h.update(repr((mat.precision, mat.shift, mat.residues)).encode())
+            h.update(b";")
+        assert h.hexdigest() == self.SAMPLERS[sampler, p]
 
 
 class TestHlEval:

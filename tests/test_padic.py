@@ -381,6 +381,34 @@ class TestProperties:
                 assert w_i - w_next >= w_skip - w_two
 
 
+class TestPadicMatrixRefusals:
+    # name: (precision, residues, exact zeros, the whole message); p = 3
+    REFUSED = {
+        "ragged": (4, ((1, 2, 3), (4, 5)), (), "ragged rows"),
+        "ragged-after-an-out-of-range-row": (4, ((1, -2), (4, 5, 6)), (), "ragged rows"),
+        "empty": (4, (), (), "matrix must be nonempty"),
+        "empty-row": (4, ((),), (), "matrix must be nonempty"),
+        "negative": (4, ((1, 2, 3), (4, 5, -1)), (), "residue out of range at (1,2)"),
+        "negative-first-of-two": (4, ((1, -2), (-3, 4)), (), "residue out of range at (0,1)"),
+        "at-the-modulus": (4, ((1, 2), (81, 0)), (), "residue out of range at (1,0)"),
+        "beyond-the-modulus": (2, ((0, 10**6),), (), "residue out of range at (0,1)"),
+        "exact-zero-with-residue": (4, ((1, 0), (0, 5)), ((1, 0), (1, 1)), "exact zero with nonzero residue at (1,1)"),
+        "precision-0": (0, ((1, 2),), (), "precision must be >= 1"),
+        "precision-0-and-empty": (0, (), (), "precision must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_refused_with_the_position(self, name):
+        precision, residues, zeros, message = self.REFUSED[name]
+        with pytest.raises(ValueError) as exc:
+            PadicMatrix(3, precision, 0, residues, frozenset(zeros))
+        assert str(exc.value) == message
+
+    def test_bounds_are_accepted(self):
+        mat = PadicMatrix(3, 4, 0, ((0, 80), (80, 0)), frozenset({(0, 0), (1, 1)}))
+        assert mat.rows == mat.cols == 2
+
+
 class TestShapes:
     def test_corner_full(self):
         rng = RngStream(10, 0)

@@ -4,6 +4,8 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_rmt.rng import RngStream
 from padic_rmt.stats import chi_square_gof
@@ -244,3 +246,95 @@ def test_sliced_p2_draws_match_their_definition(count, fresh):
                 precision,
                 attempt,
             )
+
+
+def _digits_by_definition(rng, path, attempt, count, p, need):
+    """The first `need` base-p digits of each entry of a draw of `count`
+    entries, from lane_block alone: entry e reads the width-bit chunks
+    [e*per, (e+1)*per) of blocks 0, 1, ... of the lane path|attempt| and
+    keeps those below p.  A scalar draw is the draw of one entry."""
+    width = (p - 1).bit_length()
+    per = (512 // width) // count
+    mask = (1 << width) - 1
+    lane = "".join(f"{c}|" for c in path).encode() + b"%d|" % attempt
+    digits = [[] for _ in range(count)]
+    index = 0
+    while min(map(len, digits)) < need:
+        block = int.from_bytes(rng.lane_block(lane, index), "little")
+        chunks = [block >> (width * k) & mask for k in range(count * per)]
+        for e in range(count):
+            digits[e] += [c for c in chunks[e * per : (e + 1) * per] if c < p]
+        index += 1
+    return [d[:need] for d in digits]
+
+
+def _value(digits, p):
+    return sum(d * p**k for k, d in enumerate(digits))
+
+
+# every chunk width from 1 (bound 2) to 9 (p = 257); 100 entries at p = 3
+# and 9 at p = 257 give slices that span several blocks
+_LANE_BASES = (3, 5, 7, 11, 13, 17, 41, 97, 131, 257)
+_LANE_OPS = st.one_of(
+    st.tuples(st.just("first"), st.sampled_from((1, 4, 9, 100)), st.integers(0, 1)),
+    st.tuples(
+        st.just("residues"), st.sampled_from((1, 4, 9, 100)), st.integers(0, 1), st.sampled_from((1, 2, 5, 20, 41))
+    ),
+    st.tuples(st.just("digits"), st.integers(0, 1), st.sampled_from((1, 3, 40, 300))),
+    st.tuples(st.just("residue"), st.integers(0, 1), st.sampled_from((1, 4, 34, 70))),
+    st.tuples(st.just("uniform_int"), st.sampled_from((0, 2, 4, 12, 16))),
+)
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from(_LANE_BASES),
+    ops=st.lists(_LANE_OPS, min_size=1, max_size=8),
+    lane=st.integers(0, 1),
+)
+def test_lane_memo_matches_the_definition(fresh, p, ops, lane):
+    """Draws interleaved on one lane (and its next attempt) in any order,
+    at rising and falling precisions, read what the definition says; a
+    shared stream serves them from its lane memo."""
+    shared = RngStream(99, 1)
+    path = ("memo", lane)
+    for op in ops:
+        rng = RngStream(99, 1) if fresh else shared
+        ref = RngStream(99, 1)
+        kind = op[0]
+        if kind in ("first", "residues"):
+            count = op[1] if p == 3 else min(op[1], 9)
+            attempt = op[2]
+            if kind == "first":
+                want = [d[0] for d in _digits_by_definition(ref, path, attempt, count, p, 1)]
+                assert rng.sliced_first_digits(path, count, p, attempt) == want, op
+            else:
+                precision = op[3]
+                want = [_value(d, p) for d in _digits_by_definition(ref, path, attempt, count, p, precision)]
+                assert rng.sliced_residues(path, count, p, precision, attempt) == want, op
+        elif kind == "digits":
+            attempt, count = op[1], op[2]
+            want = _digits_by_definition(ref, path, attempt, 1, p, count)[0]
+            assert rng.digits(path, count, p, attempt) == want, op
+        elif kind == "residue":
+            attempt, precision = op[1], op[2]
+            want = _value(_digits_by_definition(ref, path, attempt, 1, p, precision)[0], p)
+            assert rng.residue(path, p, precision, attempt) == want, op
+        else:
+            bound = op[1] or p
+            want = _digits_by_definition(ref, path, 0, 1, bound, 1)[0][0]
+            assert rng.uniform_int(path, bound) == want, op
+
+
+def test_mixture_pick_reads_the_sliced_bit():
+    """uniform_int(path, 2), the mixture pick, is the first bit of block 0,
+    the bit sliced_first_digits(path, 1, 2) reads."""
+    picks, bits = RngStream(12, 0), RngStream(12, 0)
+    seen = set()
+    for i in range(1000):
+        path = ("step", i, "mix")
+        pick = picks.uniform_int(path, 2)
+        assert pick == bits.sliced_first_digits(path, 1, 2)[0]
+        seen.add(pick)
+    assert seen == {0, 1}
