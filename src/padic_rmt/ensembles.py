@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, lcm
-from operator import mul
 
 from .errors import DimensionMismatch
-from .padic import MAX_PROFILE_ROWS, PadicMatrix, Prime, Signature, _p_int, _scale_columns
+from .padic import MAX_PROFILE_ROWS, PadicMatrix, Prime, Signature, _mul_grids, _p_int, _scale_columns
 from .rng import PathLike, RngStream
 
 DEFAULT_PRECISION_BASE = 32
@@ -216,6 +215,20 @@ def _sig_json(lam: Signature) -> list[str]:
     return [str(x) for x in lam]
 
 
+def _probability(x) -> Fraction:
+    """A mixture probability: an exact-rational string such as "1/2"."""
+    if not isinstance(x, str):
+        raise ValueError(f"expected an exact-rational string, not {x!r}")
+    return Fraction(x)
+
+
+def _haar_entries(x) -> HaarEntries:
+    """HaarEntries has no parameters: its payload is an empty JSON object."""
+    if x != {}:
+        raise ValueError(f"expected {{}}, not {x!r}")
+    return HaarEntries()
+
+
 # one entry per kind: (JSON name, class, payload encoder, payload decoder)
 _KIND_CODECS = (
     ("FixedSN", FixedSN, lambda k: _sig_json(k.lam), lambda x: FixedSN(_sig(x))),
@@ -223,7 +236,7 @@ _KIND_CODECS = (
         "SNMixture",
         SNMixture,
         lambda k: [[_sig_json(lam), str(prob)] for lam, prob in k.components],
-        lambda x: SNMixture(tuple((_sig(lam), Fraction(prob)) for lam, prob in x)),
+        lambda x: SNMixture(tuple((_sig(lam), _probability(prob)) for lam, prob in x)),
     ),
     (
         "CornerOfHaar",
@@ -231,7 +244,7 @@ _KIND_CODECS = (
         lambda k: "infinity" if k.ambient is None else k.ambient,
         lambda x: CornerOfHaar(None if x in ("infinity", None) else json_int(x)),
     ),
-    ("HaarEntries", HaarEntries, lambda k: {}, lambda x: HaarEntries()),
+    ("HaarEntries", HaarEntries, lambda k: {}, _haar_entries),
     ("GSpHaar", GSpHaar, lambda k: k.half, lambda x: GSpHaar(json_int(x))),
     ("GSpFixedSN", GSpFixedSN, lambda k: _sig_json(k.lam), lambda x: GSpFixedSN(_sig(x))),
 )
@@ -323,36 +336,12 @@ def sample_haar_gl(
     return PadicMatrix(pi, precision, 0, tuple(tuple(row) for row in grid))
 
 
-def _mul_grids(a: list[list[int]], b, mod: int) -> list[list[int]]:
-    """The product of two residue grids mod `mod`."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
-
-
 def _left_grid(
     lam: Signature, p: int, precision: int, rng: RngStream, path: PathLike
 ) -> tuple[list[list[int]], int]:
     """Grid and shift of U * diag(p^lam) with Haar U drawn from path + ("U",)."""
     u = _haar_gl_grid(len(lam.parts), p, precision, rng, path + ("U",))
     return _scale_columns(u, lam, p, precision)
-
-
-def _bi_invariant_grid(
-    lam: Signature,
-    rows: int,
-    cols: int,
-    p: int,
-    precision: int,
-    rng: RngStream,
-    path: PathLike,
-) -> tuple[list[list[int]], int]:
-    """Grid and shift of U * diag(p^lam) * V with independent Haar U, V."""
-    if rows > cols or len(lam) != rows:
-        raise DimensionMismatch("need len(lam) == rows <= cols")
-    ud, shift = _left_grid(lam, p, precision, rng, path)
-    v = _haar_gl_grid(cols, p, precision, rng, path + ("V",))
-    # the rectangular diag(p^lam) keeps only the first `rows` rows of V
-    return _mul_grids(ud, v[:rows], p**precision), shift
 
 
 def sample_bi_invariant(
@@ -364,12 +353,18 @@ def sample_bi_invariant(
     rng: RngStream,
     path: PathLike = ("bi",),
 ) -> PadicMatrix:
-    """One draw from the unique bi-invariant law with the given singular
-    numbers. Default precision: signature spread + DEFAULT_PRECISION_BASE."""
+    """One draw U * diag(p^lam) * V, with independent Haar U and V, from the
+    unique bi-invariant law with the given singular numbers. Default
+    precision: signature spread + DEFAULT_PRECISION_BASE."""
     pi = _p_int(p)
     if precision is None:
         precision = lam.spread() + DEFAULT_PRECISION_BASE
-    grid, shift = _bi_invariant_grid(lam, rows, cols, pi, precision, rng, path)
+    if rows > cols or len(lam) != rows:
+        raise DimensionMismatch("need len(lam) == rows <= cols")
+    ud, shift = _left_grid(lam, pi, precision, rng, path)
+    v = _haar_gl_grid(cols, pi, precision, rng, path + ("V",))
+    # the rectangular diag(p^lam) keeps only the first `rows` rows of V
+    grid = _mul_grids(ud, v[:rows], pi**precision)
     return PadicMatrix(pi, precision, shift, tuple(tuple(r) for r in grid))
 
 
@@ -430,11 +425,6 @@ def _mixture_pick(
 # ---------------------------------------------------------------------------
 
 
-def step_precision(spec: EnsembleSpec, lam: Signature) -> int:
-    """Precision rule: signature spread plus the base margin."""
-    return lam.spread() + spec.precision_base
-
-
 def step_signature(
     spec: EnsembleSpec, rng: RngStream, step: int = 0
 ) -> Signature | None:
@@ -467,24 +457,24 @@ def step_grid(
     multiplication by V in the integral group changes no row-subset minor
     valuation, so both have the profile the engine reads.  The other kinds
     give the whole step matrix.  A caller that has already drawn the step's
-    signature with step_signature passes it as `lam`."""
+    signature with step_signature passes it as `lam`.  The default
+    precision is the signature's spread (0 when it is random) plus the
+    spec's base."""
     p = spec.p.p
     n = spec.n
     path: PathLike = ("step", step)
     k = spec.kind
+    if lam is None:
+        lam = step_signature(spec, rng, step)
+    N = precision or (0 if lam is None else lam.spread()) + spec.precision_base
     if isinstance(k, (CornerOfHaar, HaarEntries)):
-        N = precision or spec.precision_base
         ambient = k.ambient if isinstance(k, CornerOfHaar) else None
         return _corner_grid(n, n, ambient, p, N, rng, path), 0, N
     if isinstance(k, GSpHaar):
         from .symplectic import sample_haar_gsp
 
-        N = precision or spec.precision_base
         mat = sample_haar_gsp(k.half, p, N, rng, path).matrix
         return [list(r) for r in mat.residues], mat.shift, N
-    if lam is None:
-        lam = step_signature(spec, rng, step)
-    N = precision or step_precision(spec, lam)
     if isinstance(k, GSpFixedSN):
         from .symplectic import gsp_left_factor
 
@@ -502,18 +492,19 @@ def draw_step_matrix(
 ) -> PadicMatrix:
     """One i.i.d. sample of the step matrix. Identical (rng, spec, step,
     precision) always return the same matrix; a larger precision returns the
-    same matrix carried to more digits.  The bi-invariant kinds draw it with
-    the public sampler at path ("step", step): step_grid's left factor
-    times the right factor V."""
+    same matrix carried to more digits.  It is step_grid's draw times, for
+    the bi-invariant kinds, the right factor V drawn at ("step", step, "V"):
+    a Haar element of the integral invertible group, or of the similitude
+    group for GSpFixedSN."""
     p = spec.p.p
     k = spec.kind
-    if isinstance(k, (FixedSN, SNMixture, GSpFixedSN)):
-        lam = step_signature(spec, rng, step)
-        N = precision or step_precision(spec, lam)
-        if isinstance(k, GSpFixedSN):
-            from .symplectic import sample_bi_invariant_gsp
+    grid, shift, N = step_grid(spec, rng, step, precision)
+    path: PathLike = ("step", step, "V")
+    if isinstance(k, (FixedSN, SNMixture)):
+        grid = _mul_grids(grid, _haar_gl_grid(spec.n, p, N, rng, path), p**N)
+    elif isinstance(k, GSpFixedSN):
+        from .symplectic import sample_haar_gsp
 
-            return sample_bi_invariant_gsp(lam, p, N, rng, ("step", step)).matrix
-        return sample_bi_invariant(lam, spec.n, spec.n, p, N, rng, ("step", step))
-    grid, shift, n_used = step_grid(spec, rng, step, precision)
-    return PadicMatrix(p, n_used, shift, tuple(tuple(r) for r in grid))
+        v = sample_haar_gsp(spec.n // 2, p, N, rng, path).matrix
+        grid = _mul_grids(grid, v.residues, p**N)
+    return PadicMatrix(p, N, shift, tuple(tuple(r) for r in grid))

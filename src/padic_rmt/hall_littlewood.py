@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .errors import (
     ConstraintViolated,
@@ -25,8 +25,6 @@ from .errors import (
     ZeroPointWithNegativeWeight,
 )
 from .padic import Prime, Signature, _p_int
-
-ExactScalar = Fraction
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -404,18 +402,9 @@ def _geometric_points(t: Fraction, start: int, count: int) -> list[Fraction]:
 def corner_distribution(mu_top: Signature, t: Fraction) -> SignatureDistribution:
     """Law of the singular numbers of the one-row-shorter corner of a
     bi-invariant matrix with singular numbers mu_top (t = 1/p)."""
-    r = len(mu_top)
-    if r < 2:
+    if len(mu_top) < 2:
         raise ValueError("need a signature of length at least 2")
-    t = Fraction(t)
-    denom = principal_specialization(mu_top, ONE, t)
-    probs: dict[Signature, Fraction] = {}
-    for nu in interlacings_below(mu_top):
-        mass = psi(mu_top, nu, t) * principal_specialization(nu, t, t) / denom
-        if mass:
-            probs[nu] = mass
-    # the constructor refuses masses that do not sum to 1
-    return SignatureDistribution(probs)
+    return kth_corner_distribution(mu_top, 2, t)
 
 
 def joint_corner_distribution(
@@ -446,29 +435,38 @@ def joint_corner_distribution(
     return out
 
 
+def _corner_chain_masses(mu1: Signature, k: int, t: Fraction) -> dict[Signature, Fraction]:
+    """{nu: the summed weight of the descending chains from mu1 to the k-th
+    corner nu}, carried down one level at a time; the i-th link from the
+    top, cur -> nu, weighs psi(cur, nu, t) * t^((i-1) * (|cur| - |nu|)), as
+    in joint_corner_distribution."""
+    level = {mu1: ONE}
+    for i in range(1, k):
+        below: dict[Signature, Fraction] = {}
+        for cur, mass in level.items():
+            for nu in interlacings_below(cur):
+                w = mass * psi(cur, nu, t)
+                if i > 1:  # the top link's power is t^0
+                    w *= t ** ((i - 1) * (cur.weight - nu.weight))
+                below[nu] = below[nu] + w if nu in below else w
+        level = below
+    return level
+
+
 def kth_corner_distribution(
     mu1: Signature, k: int, t: Fraction
 ) -> SignatureDistribution:
-    """Law of the k-th corner's singular numbers (k = 1 is the matrix itself)."""
-    n = len(mu1)
-    if not 1 <= k <= n:
+    """Law of the k-th corner's singular numbers (k = 1 is the matrix itself):
+    the chain masses down to each corner signature nu, times the
+    specialization of nu that the corners below it sum to."""
+    if not 1 <= k <= len(mu1):
         raise ValueError("need 1 <= k <= n")
     t = Fraction(t)
-    if k == 1:
-        return SignatureDistribution({mu1: ONE})
     denom = principal_specialization(mu1, ONE, t)
-    size = n - k + 1
-    ranges = [range(mu1[i + k - 1], mu1[i] + 1) for i in range(size)]
+    x = t ** (k - 1)
     probs: dict[Signature, Fraction] = {}
-    skew_points = _geometric_points(t, 0, k - 1)
-    for tup in product(*ranges):
-        if any(tup[i] < tup[i + 1] for i in range(size - 1)):
-            continue
-        nu = Signature(tup)
-        skew = _skew_value(mu1, nu, skew_points, t)
-        if skew == 0:
-            continue
-        mass = skew * principal_specialization(nu, t ** (k - 1), t) / denom
+    for nu, chains in _corner_chain_masses(mu1, k, t).items():
+        mass = chains * principal_specialization(nu, x, t) / denom
         if mass:
             probs[nu] = mass
     # the constructor refuses masses that do not sum to 1
@@ -542,23 +540,14 @@ def expected_corner_weight_direct(
 
 def lln_prediction(law: Law | SignatureDistribution, t: Fraction) -> tuple[Fraction, ...]:
     """Exact limits of lam_i(k)/k: consecutive differences of the expected
-    corner weights, ending with the expected bottom-corner weight."""
+    corner weights, ending with the expected bottom-corner weight; these are
+    the gaps verify_corner_inequality checks."""
     law = _as_law(law)
     n = len(next(iter(law)))
     t = Fraction(t)
     e = [expected_corner_weight(law, j, t) for j in range(1, n + 1)]
     return tuple(
         e[i] - e[i + 1] if i + 1 < n else e[i] for i in range(n)
-    )
-
-
-def bidiagonal_difference_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Upper bidiagonal matrix with 1 on the diagonal and -1 above it."""
-    return tuple(
-        tuple(
-            ONE if j == i else (-ONE if j == i + 1 else ZERO) for j in range(n)
-        )
-        for i in range(n)
     )
 
 
@@ -584,16 +573,13 @@ def corner_weight_covariance(
     sigma = tuple(
         tuple(e2[i][j] - e1[i] * e1[j] for j in range(n)) for i in range(n)
     )
-    l = bidiagonal_difference_matrix(n)
+
+    def s(i: int, j: int) -> Fraction:
+        return sigma[i][j] if i < n and j < n else ZERO
+
+    # L sigma L^T for L with 1 on the diagonal and -1 above it
     lsig = tuple(
-        tuple(
-            sum(
-                l[i][a] * sigma[a][b] * l[j][b]
-                for a in range(n)
-                for b in range(n)
-            )
-            for j in range(n)
-        )
+        tuple(s(i, j) - s(i, j + 1) - s(i + 1, j) + s(i + 1, j + 1) for j in range(n))
         for i in range(n)
     )
     return sigma, lsig
@@ -617,10 +603,7 @@ def verify_corner_inequality(
     t = Fraction(t)
     n = len(next(iter(law)))
     applicable = any(mu[0] > mu[n - 1] for mu in law)
-    e = [expected_corner_weight(law, j, t) for j in range(1, n + 1)]
-    gaps = tuple(
-        e[i] - e[i + 1] if i + 1 < n else e[i] for i in range(n)
-    )  # gaps[i] is the limit of lam_(i+1)(k)/k
+    gaps = lln_prediction(law, t)  # gaps[i] is the limit of lam_(i+1)(k)/k
     strict = all(gaps[i] > gaps[i + 1] for i in range(n - 1))
     if not applicable:
         return CornerInequalityReport(False, gaps, strict, "degenerate law: all supported signatures are constant")
@@ -712,7 +695,8 @@ def hl_haar_corner_measure(
     while True:
         probs: dict[Signature, Fraction] = {}
         total = ZERO
-        for lam in _nonnegative_signatures(n, cutoff):
+        for parts in combinations_with_replacement(range(cutoff, -1, -1), n):
+            lam = Signature(parts)
             mass = mass_of(lam)
             if mass:
                 probs[lam] = mass
@@ -720,18 +704,6 @@ def hl_haar_corner_measure(
         if 1 - total <= omitted_mass:
             return SignatureDistribution(probs, truncated=(total != 1))
         cutoff *= 2
-
-
-def _nonnegative_signatures(n: int, top: int):
-    """All length-n signatures with parts in [0, top]."""
-    def rec(prefix: tuple[int, ...], hi: int):
-        if len(prefix) == n:
-            yield Signature(prefix)
-            return
-        for x in range(hi, -1, -1):
-            yield from rec(prefix + (x,), x)
-
-    yield from rec((), top)
 
 
 def haar_corner_increment_pgf(
@@ -752,13 +724,18 @@ def haar_corner_increment_pgf(
     return out
 
 
+def _increment_mean_term(b: Fraction, t: Fraction) -> Fraction:
+    """The mean of one factor (1 - t x b)(1 - b) / ((1 - x b)(1 - t b)) of
+    the increment generating function: its derivative at x = 1."""
+    return b * (1 - t) / ((1 - b) * (1 - t * b))
+
+
 def haar_corner_increment_mean(n: int, ambient: int, j: int, t: Fraction) -> Fraction:
     """Exact derivative at x = 1 of the increment generating function."""
     t = Fraction(t)
     out = ZERO
     for l in range(j, ambient - n + j):
-        b = t**l
-        out += b * (1 - t) / ((1 - b) * (1 - t * b))
+        out += _increment_mean_term(t**l, t)
     return out
 
 
@@ -783,8 +760,7 @@ def haar_entries_lln_prediction(
         acc = ZERO
         l = j
         while True:
-            b = t**l
-            term = b * (1 - t) / ((1 - b) * (1 - t * b))
+            term = _increment_mean_term(t**l, t)
             acc += term
             l += 1
             if term < tail:

@@ -13,9 +13,11 @@ from the stored digits or raises PrecisionExhausted; it never guesses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DenominatorNotInvertible,
@@ -135,10 +137,6 @@ class Signature:
     def zeros(cls, n: int) -> "Signature":
         return cls((0,) * n)
 
-    @classmethod
-    def constant(cls, c: int, n: int) -> "Signature":
-        return cls((c,) * n)
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -159,10 +157,7 @@ class Signature:
         return sum(i * x for i, x in enumerate(self.parts))
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for x in self.parts:
-            out[x] = out.get(x, 0) + 1
-        return out
+        return Counter(self.parts)
 
     def shifted(self, c: int) -> "Signature":
         return Signature(tuple(x + c for x in self.parts))
@@ -286,16 +281,8 @@ def matmul(a: PadicMatrix, b: PadicMatrix) -> PadicMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions {a.cols} != {b.rows}")
     n = min(a.precision, b.precision)
-    mod = a.p**n
     arows, bcols = a.rows, b.cols
-    bt = list(zip(*b.residues))
-    res = tuple(
-        tuple(
-            sum(x * y for x, y in zip(arow, bcol)) % mod
-            for bcol in bt
-        )
-        for arow in a.residues
-    )
+    res = tuple(map(tuple, _mul_grids(a.residues, b.residues, a.p**n)))
     zeros: set[tuple[int, int]] = set()
     if a.exact_zeros or b.exact_zeros:
         az, bz = a.exact_zeros, b.exact_zeros
@@ -383,6 +370,12 @@ def _scale_columns(
     for row in u:
         out.append([x * s % mod for x, s in zip(row, scale)])
     return out, shift
+
+
+def _mul_grids(a, b, mod: int) -> list[list[int]]:
+    """The product of two residue grids mod `mod`."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % mod for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

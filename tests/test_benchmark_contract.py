@@ -1,7 +1,9 @@
 """What the benchmark under benchmark/ relies on in the program: the
-attributes its tracer wraps and the command lines its workloads run.  A
-rename or a dropped flag fails here, not in every benchmark run."""
+names it imports, the attributes its tracer wraps and the command lines its
+workloads run.  A rename or a dropped flag fails here, not in every
+benchmark run."""
 
+import ast
 import importlib
 import json
 import sys
@@ -21,6 +23,22 @@ def bench(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
     return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def test_imported_names_resolve():
+    """Every `from padic_rmt... import name` in benchmark/*.py, at module
+    level or inside a function, names an attribute or a submodule."""
+    imported = []
+    for path in sorted(BENCHMARK_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "padic_rmt":
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert ("padic_rmt.ensembles", "draw_step_matrix") in imported
+    for module_name, name in imported:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, name):
+            # a submodule, as in `from padic_rmt import cli`
+            importlib.import_module(f"{module_name}.{name}")
 
 
 def test_wrapped_attributes_resolve(bench):

@@ -39,6 +39,19 @@ MALFORMED = {
         [],
         None,
     ),
+    "spec-mixture-probability-true": (
+        "simulate",
+        {**SPEC_10, "kind": {"SNMixture": [[["1", "0"], True]]}},
+        [],
+        None,
+    ),
+    "spec-mixture-probability-float": (
+        "simulate",
+        {**SPEC_10, "kind": {"SNMixture": [[["1", "0"], 0.5], [["0", "0"], "1/2"]]}},
+        [],
+        None,
+    ),
+    "spec-haar-entries-payload": ("simulate", {**SPEC_10, "kind": {"HaarEntries": "garbage"}}, [], None),
     "spec-increasing-signature": ("simulate", {**SPEC_10, "kind": {"FixedSN": ["0", "1"]}}, [], None),
     "seed-not-an-integer": ("simulate", None, ["--preset", "fixed-10", "--kmax", "3"], "abc"),
     "config-unknown-preset": ("lln", {**EXPERIMENT, "preset": "nope"}, [], None),
@@ -98,6 +111,9 @@ NAMED_FIELD = {
     "spec-fractional-ambient": "'kind'",
     "spec-fractional-precision_base": "'precision_base'",
     "spec-unknown-field": "'precison_base'",
+    "spec-mixture-probability-true": "'kind'",
+    "spec-mixture-probability-float": "'kind'",
+    "spec-haar-entries-payload": "'kind'",
 }
 
 

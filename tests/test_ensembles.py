@@ -1,5 +1,6 @@
 """Samplers: laws, invariants, dispatch, and reproducibility."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -38,6 +39,11 @@ from padic_rmt.processes import EnsembleSource
 from padic_rmt.rng import RngStream
 from padic_rmt.stats import chi_square_gof
 from padic_rmt.symplectic import is_gsp, sample_bi_invariant_gsp
+
+
+# SHA-256 over draw_step_matrix at 200 steps of every preset and two more
+# laws; see TestDispatch.test_step_matrix_golden
+STEP_MATRIX_GOLDEN_SHA256 = "ddac7e70105978703978bcc3625afa8a2e1bfa1581f5b05d25d9e34604d781f2"
 
 
 class TestSpec:
@@ -220,6 +226,30 @@ class TestDispatch:
         assert tuple(tuple(x % mod for x in row) for row in big.residues) == a.residues
         other = draw_step_matrix(spec, RngStream(33, 6), 9)
         assert other.residues != a.residues
+
+    def test_step_matrix_golden(self):
+        """The step matrices the direct route redraws are a fixed function
+        of (seed, trial, step law, precision), at the default precision and
+        at twice it."""
+        specs = [(name, build_preset(name)) for name in preset_names()]
+        specs = [(name, spec) for name, spec in specs if isinstance(spec, EnsembleSpec)]
+        specs.append(("corner-4-base-4", EnsembleSpec(Prime(2), 3, CornerOfHaar(4), precision_base=4)))
+        mixture = SNMixture(
+            (
+                (Signature((2, 1, 0)), Fraction(1, 3)),
+                (Signature((1, 1, -1)), Fraction(2, 3)),
+            )
+        )
+        specs.append(("mixture-p3", EnsembleSpec(Prime(3), 3, mixture)))
+        h = hashlib.sha256()
+        for name, spec in specs:
+            rng = RngStream(2024, 7)
+            for k in range(1, 201):
+                mat = draw_step_matrix(spec, rng, k)
+                big = draw_step_matrix(spec, rng, k, 2 * mat.precision)
+                for m in (mat, big):
+                    h.update(repr((name, k, m.residues, m.shift, m.precision)).encode())
+        assert h.hexdigest() == STEP_MATRIX_GOLDEN_SHA256
 
 
 class TestLawInvariance:

@@ -1,5 +1,6 @@
 """Exact symmetric-function engine: identities, tables, predictions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -434,3 +435,60 @@ class TestSignatureDistributionType:
         dist = corner_distribution(sig(1, 0), T)
         entries = dist.to_json_entries()
         assert {"signature": [1], "prob": "1/3"} in entries
+
+
+# SHA-256 digests of the exact layer's tables and predictions; see
+# TestExactLayerGolden
+CORNER_TABLES_SHA256 = "30372cd1cb6b80c8aec099754f0d0d8e167078c02b3d7fca6233d6469082aca8"
+PREDICTIONS_SHA256 = "5829864eecbe592a8a1d1ef77d5fad5c42ca39f905a65ca6d42cc5afed397dbe"
+GOLDEN_TS = (F(1, 2), F(1, 3), F(1, 5))
+
+
+def golden_signatures():
+    """Every signature of length 1 to 4 with parts in [-1, 3]."""
+    for n in range(1, 5):
+        yield from all_signatures(n, -1, 3)
+
+
+class TestExactLayerGolden:
+    """Every corner law and every prediction built on them is a fixed
+    exact table: a rewrite of the routes behind them must not move a
+    digit."""
+
+    def test_corner_tables_golden(self):
+        h = hashlib.sha256()
+        for lam in golden_signatures():
+            for t in GOLDEN_TS:
+                for k in range(1, len(lam) + 1):
+                    entries = kth_corner_distribution(lam, k, t).to_json_entries()
+                    h.update(repr((lam.parts, k, t, entries)).encode())
+                if len(lam) >= 2:
+                    entries = corner_distribution(lam, t).to_json_entries()
+                    h.update(repr((lam.parts, t, entries)).encode())
+        for t in GOLDEN_TS:
+            h.update(repr(corner_distribution(sig(40, 20, 0), t).to_json_entries()).encode())
+        assert h.hexdigest() == CORNER_TABLES_SHA256
+
+    def test_predictions_golden(self):
+        # point laws, and two-component mixtures of consecutive signatures
+        # up to length 3; length 4 only at t = 1/2, which keeps the test to
+        # a few seconds
+        h = hashlib.sha256()
+        for n in range(1, 5):
+            sigs = list(all_signatures(n, -1, 3))
+            laws = [{lam: F(1)} for lam in sigs]
+            if n < 4:
+                laws += [{a: F(1, 3), b: F(2, 3)} for a, b in zip(sigs, sigs[1:])]
+            for law in laws:
+                for t in GOLDEN_TS if n < 4 else (T,):
+                    gaps = verify_corner_inequality(law, t).gaps
+                    row = (lln_prediction(law, t), corner_weight_covariance(law, t), gaps)
+                    h.update(str(row).encode())
+        for n in range(1, 4):
+            for p in (2, 3):
+                h.update(str(haar_entries_lln_prediction(n, p)).encode())
+                for ambient in range(n, 6):
+                    h.update(str(haar_corner_lln_prediction(n, ambient, p)).encode())
+        h.update(str(hl_haar_corner_measure(2, 2, 3, 2)).encode())
+        h.update(str(hl_haar_corner_measure(2, 3, 4, 3)).encode())
+        assert h.hexdigest() == PREDICTIONS_SHA256

@@ -23,6 +23,7 @@ from padic_rmt.ensembles import (
     SNMixture,
     draw_step_matrix,
 )
+from padic_rmt.errors import PrecisionExhausted
 from padic_rmt.padic import Prime, Signature, corner, reduce, smith_singular_numbers
 from padic_rmt.processes import (
     CounterexampleSource,
@@ -92,6 +93,45 @@ class TestProductStep:
             mat = src.matrix(step.k, rng, precision=prev.spread() + 40)
             assert product_step(prev, mat) == step.lam, step.k
             prev = step.lam
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), p=st.sampled_from([2, 3]), base=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+    def test_profile_route_matches_direct_route_past_the_base(self, data, p, base, seed):
+        # signature spreads up to three times the base, so the engine
+        # escalates; every step is redrawn and reduced directly, doubling
+        # the precision until the direct route certifies its answer
+        def signature(n):
+            low = data.draw(st.integers(-2, 2))
+            parts = data.draw(st.lists(st.integers(0, 3 * base), min_size=n - 1, max_size=n - 1))
+            return Signature(tuple(sorted([low] + [low + x for x in parts], reverse=True)))
+
+        kind_name = data.draw(st.sampled_from(["FixedSN", "SNMixture", "GSpFixedSN"]))
+        if kind_name == "GSpFixedSN":
+            n = 4
+            mid = data.draw(st.integers(-2, 2))
+            outer = data.draw(st.lists(st.integers(0, 3 * base // 2), min_size=2, max_size=2))
+            parts = [mid + x for x in outer] + [mid - x for x in outer]
+            kind = GSpFixedSN(Signature(tuple(sorted(parts, reverse=True))))
+        else:
+            n = data.draw(st.integers(2, 3))
+            kind = FixedSN(signature(n))
+            if kind_name == "SNMixture":
+                kind = SNMixture(((kind.lam, F(1, 3)), (signature(n), F(2, 3))))
+        spec = EnsembleSpec(Prime(p), n, kind, precision_base=base)
+        rng = RngStream(seed, 0)
+        lam_prev = Signature((0,) * n)
+        for k, lam, _v, w, sn_last, *_ in iter_coupled_steps(EnsembleSource(spec), 6, RngStream(seed, 0)):
+            precision = base
+            for _ in range(10):
+                try:
+                    a = draw_step_matrix(spec, rng, k, precision)
+                    sn_direct = smith_singular_numbers(a).parts[-1]
+                    direct = (product_step(lam_prev, a).parts, corner_weights(a), sn_direct)
+                    break
+                except PrecisionExhausted:
+                    precision *= 2
+            assert direct == (lam, w, sn_last), (spec, k)
+            lam_prev = Signature(lam)
 
 
 class TestCornerWeights:
