@@ -336,12 +336,15 @@ def sample_haar_gl(
     return PadicMatrix(pi, precision, 0, tuple(tuple(row) for row in grid))
 
 
-def _left_grid(
-    lam: Signature, p: int, precision: int, rng: RngStream, path: PathLike
-) -> tuple[list[list[int]], int]:
-    """Grid and shift of U * diag(p^lam) with Haar U drawn from path + ("U",)."""
-    u = _haar_gl_grid(len(lam.parts), p, precision, rng, path + ("U",))
-    return _scale_columns(u, lam, p, precision)
+def _haar_gsp_grid(
+    n: int, p: int, precision: int, rng: RngStream, path: PathLike
+) -> tuple[tuple[int, ...], ...]:
+    """Residues of a Haar element of the integral similitude group in
+    dimension n (even), as _haar_gl_grid gives them for the invertible
+    group."""
+    from . import symplectic
+
+    return symplectic.sample_haar_gsp(n // 2, p, precision, rng, path).matrix.residues
 
 
 def sample_bi_invariant(
@@ -361,7 +364,8 @@ def sample_bi_invariant(
         precision = lam.spread() + DEFAULT_PRECISION_BASE
     if rows > cols or len(lam) != rows:
         raise DimensionMismatch("need len(lam) == rows <= cols")
-    ud, shift = _left_grid(lam, pi, precision, rng, path)
+    u = _haar_gl_grid(rows, pi, precision, rng, path + ("U",))
+    ud, shift = _scale_columns(u, lam, pi, precision)
     v = _haar_gl_grid(cols, pi, precision, rng, path + ("V",))
     # the rectangular diag(p^lam) keeps only the first `rows` rows of V
     grid = _mul_grids(ud, v[:rows], pi**precision)
@@ -453,13 +457,15 @@ def step_grid(
     """The engine's draw as raw (grid, shift, precision).
 
     For the bi-invariant kinds this is the left factor U * diag(p^lam) of
-    the step matrix U * diag(p^lam) * V: by Cauchy-Binet, right
-    multiplication by V in the integral group changes no row-subset minor
-    valuation, so both have the profile the engine reads.  The other kinds
-    give the whole step matrix.  A caller that has already drawn the step's
-    signature with step_signature passes it as `lam`.  The default
-    precision is the signature's spread (0 when it is random) plus the
-    spec's base."""
+    the step matrix U * diag(p^lam) * V, with Haar U (of the invertible
+    group, or of the similitude group for GSpFixedSN) drawn at
+    ("step", step, "U") and the smallest part of lam as the shift: by
+    Cauchy-Binet, right multiplication by V in the integral group changes
+    no row-subset minor valuation, so both have the profile the engine
+    reads.  The other kinds give the whole step matrix.  A caller that has
+    already drawn the step's signature with step_signature passes it as
+    `lam`.  The default precision is the signature's spread (0 when it is
+    random) plus the spec's base."""
     p = spec.p.p
     n = spec.n
     path: PathLike = ("step", step)
@@ -470,17 +476,11 @@ def step_grid(
     if isinstance(k, (CornerOfHaar, HaarEntries)):
         ambient = k.ambient if isinstance(k, CornerOfHaar) else None
         return _corner_grid(n, n, ambient, p, N, rng, path), 0, N
+    # looked up at call time, so that a wrapped module attribute is seen
+    haar = _haar_gsp_grid if spec.is_symplectic else _haar_gl_grid
     if isinstance(k, GSpHaar):
-        from .symplectic import sample_haar_gsp
-
-        mat = sample_haar_gsp(k.half, p, N, rng, path).matrix
-        return [list(r) for r in mat.residues], mat.shift, N
-    if isinstance(k, GSpFixedSN):
-        from .symplectic import gsp_left_factor
-
-        mat = gsp_left_factor(lam, p, N, rng, path).matrix
-        return [list(r) for r in mat.residues], mat.shift, N
-    grid, shift = _left_grid(lam, p, N, rng, path)
+        return haar(n, p, N, rng, path), 0, N
+    grid, shift = _scale_columns(haar(n, p, N, rng, path + ("U",)), lam, p, N)
     return grid, shift, N
 
 
@@ -499,12 +499,8 @@ def draw_step_matrix(
     p = spec.p.p
     k = spec.kind
     grid, shift, N = step_grid(spec, rng, step, precision)
-    path: PathLike = ("step", step, "V")
-    if isinstance(k, (FixedSN, SNMixture)):
-        grid = _mul_grids(grid, _haar_gl_grid(spec.n, p, N, rng, path), p**N)
-    elif isinstance(k, GSpFixedSN):
-        from .symplectic import sample_haar_gsp
-
-        v = sample_haar_gsp(spec.n // 2, p, N, rng, path).matrix
-        grid = _mul_grids(grid, v.residues, p**N)
+    if isinstance(k, (FixedSN, SNMixture, GSpFixedSN)):
+        haar = _haar_gsp_grid if spec.is_symplectic else _haar_gl_grid
+        v = haar(spec.n, p, N, rng, ("step", step, "V"))
+        grid = _mul_grids(grid, v, p**N)
     return PadicMatrix(p, N, shift, tuple(tuple(r) for r in grid))

@@ -328,14 +328,15 @@ def diag_signature(
     p: Prime | int,
     precision: int,
 ) -> PadicMatrix:
-    """Rectangular diagonal matrix with entries p^lam_i; negative parts go
-    into the shift so the stored grid stays integral."""
+    """Rectangular diagonal matrix with entries p^lam_i.  The smallest part
+    is the shift, so the stored grid is diag(p^(lam - shift)) and the
+    precision must exceed lam's spread."""
     pi = _p_int(p)
     if rows > cols:
         raise DimensionMismatch("rows must be <= cols")
     if len(lam) != rows:
         raise DimensionMismatch("len(signature) must equal rows")
-    shift = min(0, lam[len(lam) - 1])
+    shift = lam[len(lam) - 1]
     if lam[0] - shift >= precision:
         raise PrecisionExhausted(
             f"p^{lam[0] - shift} is 0 mod p^{precision}; raise the precision"
@@ -356,7 +357,7 @@ def _column_scaling(
 ) -> tuple[int, tuple[int, ...], int]:
     """The shift, column scales p^(part - shift) and modulus p^precision
     of _scale_columns for the signature with these parts."""
-    shift = min(0, parts[-1])
+    shift = parts[-1]
     return shift, tuple(p ** (x - shift) for x in parts), p**precision
 
 
@@ -364,7 +365,8 @@ def _scale_columns(
     u, lam: Signature, p: int, precision: int
 ) -> tuple[list[list[int]], int]:
     """U * diag(p^(lam - shift)) mod p^precision and its shift, the
-    smallest part of lam when negative (else 0)."""
+    smallest part of lam: a step law lam + c gives the same grid as lam,
+    with the shift raised by c."""
     shift, scale, mod = _column_scaling(lam.parts, p, precision)
     out = []
     for row in u:

@@ -65,7 +65,7 @@ class EnsembleSource:
         self, k: int, rng: RngStream
     ) -> tuple[list[int | None], int, list[tuple[int, int, int]]]:
         lam = step_signature(self.spec, rng, k)
-        if lam is not None and lam.parts[0] == lam.parts[-1] <= 0:
+        if lam is not None and lam.parts[0] == lam.parts[-1]:
             # lam - shift is all zeros: the step is a unit, nothing to draw
             return self.unit_profile, lam.parts[0], []
         precision: int | None = None
@@ -310,7 +310,7 @@ def run_coupled_trajectory(
 def product_step(lam_prev: Signature, a: PadicMatrix) -> Signature:
     """Singular numbers of diag(p^lam_prev) * A by forming the product.
 
-    The smallest part of lam_prev is moved into the shift first, so the
+    diag_signature keeps the smallest part of lam_prev in the shift, so the
     residues only grow with the spread of lam_prev, not its magnitude.
     The precision of A must exceed that spread plus the spread of A's own
     singular numbers; PrecisionExhausted signals a too-low precision.
@@ -318,11 +318,8 @@ def product_step(lam_prev: Signature, a: PadicMatrix) -> Signature:
     n = len(lam_prev)
     if a.rows != n:
         raise ValueError("signature length must match the row count")
-    offset = lam_prev[n - 1]
-    reduced = Signature(tuple(x - offset for x in lam_prev))
-    d = diag_signature(reduced, n, n, a.p, a.precision)
-    sn = smith_singular_numbers(matmul(d, a))
-    return sn.shifted(offset)
+    d = diag_signature(lam_prev, n, n, a.p, a.precision)
+    return smith_singular_numbers(matmul(d, a))
 
 
 def corner_weights(a: PadicMatrix) -> IntVector:

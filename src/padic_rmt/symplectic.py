@@ -19,10 +19,9 @@ from .padic import (
     Prime,
     Signature,
     _int_valuation,
+    _mul_grids,
     _p_int,
     _scale_columns,
-    corner,
-    matmul,
     smith_singular_numbers,
 )
 from .rng import PathLike, RngStream
@@ -83,11 +82,6 @@ def is_balanced(lam: Signature) -> bool:
     return all(parts[i] + parts[d - 1 - i] == s for i in range(d // 2))
 
 
-def require_balanced(lam: Signature) -> None:
-    if not is_balanced(lam):
-        raise ConstraintViolated(f"signature {lam.parts} is not balanced")
-
-
 def _apply_gram(a: list[int], half: int, mod: int) -> list[int]:
     """Row vector a * Omega mod p^N."""
     d = 2 * half
@@ -144,15 +138,6 @@ def gsp_singular_numbers(el: GSpElement | PadicMatrix) -> Signature:
             f"singular numbers {lam.parts} violate the balanced-pairs constraint"
         )
     return lam
-
-
-def gsp_corner_weights(el: GSpElement | PadicMatrix) -> tuple[int, ...]:
-    """Weights |SN(corner(A, i))| for i = 1..2n, via the rectangular
-    singular-number machinery."""
-    mat = el.matrix if isinstance(el, GSpElement) else el
-    return tuple(
-        smith_singular_numbers(corner(mat, i)).weight for i in range(1, mat.rows + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +277,6 @@ def sample_haar_gsp(
     return GSpElement(mat, sim)
 
 
-def gsp_left_factor(
-    lam: Signature,
-    p: Prime | int,
-    precision: int,
-    rng: RngStream,
-    path: PathLike,
-) -> GSpElement:
-    """U diag(p^lam) with Haar U drawn from path + ("U",); lam must be
-    balanced.  The similitude is checked here, once, on the scaled product."""
-    require_balanced(lam)
-    pi = _p_int(p)
-    u = sample_haar_gsp(len(lam) // 2, pi, precision, rng, path + ("U",)).matrix
-    grid, shift = _scale_columns(u.residues, lam, pi, precision)
-    mat = PadicMatrix(pi, precision, shift, tuple(tuple(r) for r in grid))
-    sim = is_gsp(mat)
-    if sim is None:
-        raise ConstraintViolated("scaled left factor left the similitude group")
-    return GSpElement(mat, sim)
-
-
 def sample_bi_invariant_gsp(
     lam: Signature,
     p: Prime | int,
@@ -319,10 +284,23 @@ def sample_bi_invariant_gsp(
     rng: RngStream,
     path: PathLike = ("gspbi",),
 ) -> GSpElement:
-    """U diag(p^lam) V with independent Haar U, V; lam must be balanced.
-    The similitude of a product is the product of the similitudes."""
-    ud = gsp_left_factor(lam, p, precision, rng, path)
-    v = sample_haar_gsp(len(lam) // 2, ud.matrix.p, precision, rng, path + ("V",))
-    mod = ud.matrix.p**precision
-    sim = ud.similitude.residue * v.similitude.residue % mod
-    return GSpElement(matmul(ud.matrix, v.matrix), PadicScalar(sim, precision))
+    """U diag(p^lam) V with independent Haar U, V drawn from path + ("U",)
+    and path + ("V",); lam must be balanced.  The smallest part of lam is
+    the shift, and diag(p^(lam - shift)) has similitude p^spread, so the
+    similitude of the product is u_U * p^spread * u_V from the two Haar
+    draws; it is unreadable when the spread reaches the precision."""
+    if not is_balanced(lam):
+        raise ConstraintViolated(f"signature {lam.parts} is not balanced")
+    spread = lam.spread()
+    if spread >= precision:
+        raise PrecisionExhausted(
+            f"p^{spread} is 0 mod p^{precision}; similitude unreadable"
+        )
+    pi = _p_int(p)
+    mod = pi**precision
+    u = sample_haar_gsp(len(lam) // 2, pi, precision, rng, path + ("U",))
+    v = sample_haar_gsp(len(lam) // 2, pi, precision, rng, path + ("V",))
+    ud, shift = _scale_columns(u.matrix.residues, lam, pi, precision)
+    grid = tuple(map(tuple, _mul_grids(ud, v.matrix.residues, mod)))
+    sim = u.similitude.residue * pi**spread * v.similitude.residue % mod
+    return GSpElement(PadicMatrix(pi, precision, shift, grid), PadicScalar(sim, precision))

@@ -112,3 +112,21 @@ def test_traced_escalations_match_the_metadata(tracer, tmp_path):
     escalations = json.loads((out / "metadata.json").read_text())["escalations"]
     assert escalations
     assert tracer.raised.get("padic.minor_profile_masks", 0) == len(escalations)
+
+
+def test_traced_gsp_simulate_checks_the_similitude_once_per_draw(tracer, tmp_path):
+    """The traced checks of the gsp4 workload: one processes.step span per
+    coupled step, every escalation one raised certification, and one
+    is_gsp call per Haar similitude-group draw."""
+    from padic_rmt import cli
+
+    out = tmp_path / "traj"
+    argv = ["gsp-simulate", "--preset", "gsp4-fixed-1100", "--kmax", "20", "--trials", "3",
+            "--jobs", "1", "--seed", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert tracer.calls.get("processes.step") == 60
+    escalations = json.loads((out / "metadata.json").read_text())["escalations"]
+    assert tracer.raised.get("padic.minor_profile_masks", 0) == len(escalations)
+    draws = tracer.calls.get("symplectic.sample_haar_gsp", 0)
+    assert draws >= 60
+    assert tracer.calls.get("symplectic.is_gsp") == draws

@@ -469,6 +469,13 @@ class TestCornerDist:
         assert run(["corner-dist", "--signature", "3,3", "--p", "5"]) == 0
         assert "(3,): 1" in capsys.readouterr().out
 
+    def test_monte_carlo_on_a_positive_point_mass(self, capsys):
+        # the public sampler keeps p^40 in the shift, not in the residues
+        argv = ["corner-dist", "--signature", "40,40,40", "--p", "3", "--monte-carlo", "20", "--seed", "1"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert float(out.rsplit("TV distance:", 1)[1]) == 0
+
     def test_monte_carlo_column(self, capsys):
         assert (
             run(

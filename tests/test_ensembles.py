@@ -15,6 +15,7 @@ from padic_rmt.ensembles import (
     CornerOfHaar,
     EnsembleSpec,
     FixedSN,
+    GSpFixedSN,
     GSpHaar,
     HaarEntries,
     SNMixture,
@@ -152,6 +153,13 @@ class TestBiInvariant:
         mat = sample_bi_invariant(Signature((0, -2)), 2, 2, 2, None, rng)
         assert mat.shift == -2
         assert smith_singular_numbers(mat).parts == (0, -2)
+
+    def test_positive_smallest_part_is_the_shift(self):
+        # the default precision covers the spread, not the magnitude
+        rng = RngStream(25, 1)
+        mat = sample_bi_invariant(Signature((35, 34, 33)), 3, 3, 3, None, rng)
+        assert (mat.shift, mat.precision) == (33, 34)
+        assert smith_singular_numbers(mat).parts == (35, 34, 33)
 
     def test_rectangular(self):
         rng = RngStream(26, 0)
@@ -317,15 +325,30 @@ class TestLeftFactor:
             assert g == _profile_or_none(mat.residues, p, n_used), (name, k)
             assert source.profile(k, RngStream(40, 2)) == (g, shift, []), (name, k)
 
-    def test_gsp_step_matrix_is_the_public_sampler(self):
-        spec = build_preset("gsp4-fixed-1100")
+    @staticmethod
+    def _check_gsp_step_matrix(spec):
+        """The step matrix is the public sampler's draw, with the smallest
+        part as its shift, and the similitude the sampler derives,
+        u_U * p^spread * u_V, is is_gsp's reading."""
+        lam = spec.kind.lam
         for k in range(5):
             mat = draw_step_matrix(spec, RngStream(41, 0), k)
-            el = sample_bi_invariant_gsp(
-                spec.kind.lam, 2, mat.precision, RngStream(41, 0), ("step", k)
-            )
+            el = sample_bi_invariant_gsp(lam, spec.p, mat.precision, RngStream(41, 0), ("step", k))
             assert mat == el.matrix
+            assert mat.shift == lam[spec.n - 1]
             assert is_gsp(el.matrix) == el.similitude
+
+    def test_gsp_step_matrix_is_the_public_sampler(self):
+        self._check_gsp_step_matrix(build_preset("gsp4-fixed-1100"))
+
+    @pytest.mark.parametrize("parts", [(1, 1, 0, 0), (3, 2, 2, 1), (2, 1, 1, 0)])
+    def test_gsp_step_matrix_is_the_public_sampler_at_p3(self, parts):
+        self._check_gsp_step_matrix(EnsembleSpec(Prime(3), 4, GSpFixedSN(Signature(parts))))
+
+    def test_gsp_similitude_unreadable_at_the_spread(self):
+        # p^spread is 0 mod p^precision, so u_U * p^spread * u_V is unreadable
+        with pytest.raises(PrecisionExhausted):
+            sample_bi_invariant_gsp(Signature((3, 2, 2, 1)), 3, 2, RngStream(41, 0))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -341,7 +364,7 @@ class TestLeftFactor:
         u = sample_haar_gl(n, p, precision, rng, ("u",)).residues
         v = sample_haar_gl(n, p, precision, rng, ("v",)).residues
         mod = p**precision
-        scale = [p ** (x - min(0, lam[n - 1])) for x in lam]
+        scale = [p ** (x - lam[n - 1]) for x in lam]
         ud = [[x * s % mod for x, s in zip(row, scale)] for row in u]
         udv = [
             [sum(ud[i][t] * v[t][j] for t in range(n)) % mod for j in range(n)]

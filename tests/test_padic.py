@@ -342,14 +342,16 @@ class TestProperties:
             mu = Signature(tuple(x + floor for x in random_signature(rng, (trial, "b"), n, 0, 2)))
             a = sample_bi_invariant(lam, n, n, p, prec, rng, ("a", trial))
             b = sample_bi_invariant(mu, n, n, p, prec, rng, ("b", trial))
-            assert a.shift == b.shift == 0
+            # each shift is the smallest part, so A + B = p^(s_a) (a' + p^(s_b - s_a) b')
+            assert (a.shift, b.shift) == (lam[n - 1], mu[n - 1])
             mod = p**prec
+            lift = p ** (b.shift - a.shift)
             summed = PadicMatrix(
                 p,
                 prec,
-                0,
+                a.shift,
                 tuple(
-                    tuple((x + y) % mod for x, y in zip(ra, rb))
+                    tuple((x + lift * y) % mod for x, y in zip(ra, rb))
                     for ra, rb in zip(a.residues, b.residues)
                 ),
             )

@@ -269,6 +269,37 @@ class TestTrajectory:
             rows.append([(lam, v) for _k, lam, v, *_ in steps])
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize(
+        "p, base, kind, c",
+        [
+            (2, 32, FixedSN(Signature((0, 0))), 20),
+            (2, 32, FixedSN(Signature((1, 0))), 20),
+            (3, 32, SNMixture(((Signature((1, 0)), F(1, 2)), (Signature((0, 0)), F(1, 2)))), 20),
+            (2, 4, GSpFixedSN(Signature((0, 0, 0, 0))), 2),
+            (2, 4, GSpFixedSN(Signature((2, 1, 1, 0))), 1),
+        ],
+    )
+    def test_shifted_law_shifts_the_rows(self, p, base, kind, c):
+        """The step law lam + c gives the rows of lam plus k*c on every
+        coordinate of lam, v and each interpolation level, and certifies
+        without escalating: the smallest part is the shift, so both laws
+        draw the same grid."""
+        if isinstance(kind, SNMixture):
+            shifted = SNMixture(tuple((lam.shifted(c), prob) for lam, prob in kind.components))
+        else:
+            shifted = type(kind)(kind.lam.shifted(c))
+        n = 4 if isinstance(kind, GSpFixedSN) else 2
+        for trial in range(2):
+            runs = []
+            for law in (kind, shifted):
+                log = []
+                source = as_source(EnsembleSpec(Prime(p), n, law, precision_base=base))
+                runs.append(list(iter_coupled_steps(source, 40, RngStream(58, trial), True, log)))
+                assert log == [], (law, trial)
+            for (k, lam_a, v_a, *_, interp_a), (_, lam_b, v_b, *_, interp_b) in zip(*runs):
+                for row_a, row_b in zip((lam_a, v_a, *interp_a), (lam_b, v_b, *interp_b)):
+                    assert row_b == tuple(x + k * c for x in row_a), (law, trial, k)
+
     def test_engine_golden(self):
         """The rows iter_coupled_steps yields are a fixed function of (seed,
         trial, step law): this digest must not change without a stream

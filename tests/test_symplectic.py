@@ -17,13 +17,12 @@ from padic_rmt.padic import (
     matmul,
     smith_singular_numbers,
 )
-from padic_rmt.processes import run_coupled_trajectory
+from padic_rmt.processes import corner_weights, run_coupled_trajectory
 from padic_rmt.rng import RngStream
 from padic_rmt.stats import chi_square_gof
 from padic_rmt.symplectic import (
     GSpElement,
     SymplecticForm,
-    gsp_corner_weights,
     gsp_singular_numbers,
     is_balanced,
     is_gsp,
@@ -157,10 +156,10 @@ class TestBiInvariant:
 class TestCornerWeights:
     def test_diagonal_example(self):
         d = diag_signature(Signature((2, 1, 1, 0)), 4, 4, 2, 16)
-        assert gsp_corner_weights(d) == (4, 2, 1, 0)
+        assert corner_weights(d) == (4, 2, 1, 0)
 
     def test_identity(self):
-        assert gsp_corner_weights(PadicMatrix.identity(4, 2, 8)) == (0, 0, 0, 0)
+        assert corner_weights(PadicMatrix.identity(4, 2, 8)) == (0, 0, 0, 0)
 
     def test_concavity_on_samples(self):
         from padic_rmt.padic import corner as take_corner
@@ -172,7 +171,7 @@ class TestCornerWeights:
                 Signature((2, 1, 1, 0)), 2, 36, rng, ("c", trial)
             )
             mat = el.matrix
-            w = gsp_corner_weights(el)
+            w = corner_weights(mat)
             for i in range(1, 3):
                 top = take_corner(mat, i)
                 w_skip = smith_singular_numbers(delete_row(top, 2)).weight
