@@ -198,13 +198,16 @@ def cmd_corner_dist(args) -> int:
     for entry in dist.to_json_entries():
         print(f"  {tuple(entry['signature'])}: {entry['prob']}")
     if args.monte_carlo:
-        from .ensembles import sample_bi_invariant
-        from .padic import corner, smith_singular_numbers
+        from .ensembles import DEFAULT_PRECISION_BASE, sample_bi_invariant
+        from .padic import _certified_precision, corner, smith_singular_numbers
 
+        # the digits every corner's singular numbers can read: the same
+        # draws as at the sampler's default precision, reduced
+        precision = _certified_precision(sig.parts, DEFAULT_PRECISION_BASE)
         rng = RngStream(seed, 0)
         counts: dict[Signature, int] = {}
         for i in range(args.monte_carlo):
-            mat = sample_bi_invariant(sig, len(sig), len(sig), args.p, None, rng, ("mc", i))
+            mat = sample_bi_invariant(sig, len(sig), len(sig), args.p, precision, rng, ("mc", i))
             sn = smith_singular_numbers(corner(mat, level))
             counts[sn] = counts.get(sn, 0) + 1
         tv = tv_distance(counts, dist)

@@ -361,6 +361,21 @@ def _column_scaling(
     return shift, tuple(p ** (x - shift) for x in parts), p**precision
 
 
+@lru_cache(maxsize=256)
+def _certified_precision(parts: tuple[int, ...], base: int) -> int:
+    """The precision a draw of U * diag(p^(lam - shift)) * V, with U and V
+    in the integral group, starts at for the signature with these parts:
+    weight(lam - shift) + 1, or spread + base when that is no more.
+
+    By Cauchy-Binet the profile entry of rows I is the minimum over J of
+    v(det U[I, J]) + (sum of lam - shift over J), and some J gives a unit
+    minor of U.  So every profile entry is at most weight(lam - shift),
+    every row corner's singular numbers are at most the spread, and
+    weight + 1 digits certify them all."""
+    shift = parts[-1]
+    return min(sum(parts) - len(parts) * shift + 1, parts[0] - shift + base)
+
+
 def _scale_columns(
     u, lam: Signature, p: int, precision: int
 ) -> tuple[list[list[int]], int]:

@@ -26,6 +26,7 @@ from .padic import (
     IntVector,
     PadicMatrix,
     Signature,
+    _certified_precision,
     corner,
     diag_signature,
     matmul,
@@ -46,7 +47,9 @@ class EnsembleSource:
     """Profiles of the steps of an EnsembleSpec: draws the engine's factor
     of each step (see step_grid) and certifies its profile, doubling the
     precision (same matrix, more digits) when needed.  A step whose
-    signature has no spread is a unit and needs no draw."""
+    signature has no spread is a unit and needs no draw; any other known
+    signature starts at padic._certified_precision, which certifies at
+    once unless spread + base is the smaller."""
 
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
@@ -65,10 +68,13 @@ class EnsembleSource:
         self, k: int, rng: RngStream
     ) -> tuple[list[int | None], int, list[tuple[int, int, int]]]:
         lam = step_signature(self.spec, rng, k)
-        if lam is not None and lam.parts[0] == lam.parts[-1]:
-            # lam - shift is all zeros: the step is a unit, nothing to draw
-            return self.unit_profile, lam.parts[0], []
         precision: int | None = None
+        if lam is not None:
+            parts = lam.parts
+            if parts[0] == parts[-1]:
+                # lam - shift is all zeros: the step is a unit, nothing to draw
+                return self.unit_profile, parts[0], []
+            precision = _certified_precision(parts, self.spec.precision_base)
         escalations: list[tuple[int, int, int]] = []
         for _ in range(MAX_PRECISION_DOUBLINGS + 1):
             grid, shift, n_used = step_grid(self.spec, rng, k, precision, lam)

@@ -130,3 +130,20 @@ def test_traced_gsp_simulate_checks_the_similitude_once_per_draw(tracer, tmp_pat
     draws = tracer.calls.get("symplectic.sample_haar_gsp", 0)
     assert draws >= 60
     assert tracer.calls.get("symplectic.is_gsp") == draws
+
+
+def test_traced_corner_dist_draws_two_haar_factors_per_sample(tracer, capsys):
+    """The traced checks of the corner-mc workload: one public bi-invariant
+    draw per Monte-Carlo sample, each with a Haar U and a Haar V whose
+    rejection attempts are the sliced_first_digits calls under them, so
+    the GL3(F3) acceptance band counts what it means."""
+    from padic_rmt import cli
+
+    samples = 40
+    argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", "3",
+            "--monte-carlo", str(samples), "--seed", "5"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tracer.calls.get("ensembles.sample_bi_invariant") == samples
+    assert tracer.calls.get("ensembles.haar_gl") == 2 * samples
+    assert tracer.edges.get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 2 * samples

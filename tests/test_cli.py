@@ -550,6 +550,38 @@ class TestSamplerGolden:
         assert h.hexdigest() == self.SAMPLERS[sampler, p]
 
 
+class TestCertifiedPrecisionGolden:
+    """corner-dist draws its Monte-Carlo samples at weight(lambda - shift)
+    + 1 digits, the fewest its corners can read; these digests were taken
+    when it drew at spread + base and must never change.  "1,1,1" draws at
+    one digit."""
+
+    CORNER_DIST = {
+        ("3,1,-1", 1, 3): "693c175b0bcfd95a452f682221fefa3863272fd36b2b43a42c3703b9afd10b6d",
+        ("3,1,-1", 1, 5): "3ee0678ce671d4616848561e7c2d25338be71872b8971e44892a8e3b002e6599",
+        ("3,1,-1", 3, 3): "26b4f123281291f3c663e477789bd6eefff93a0c766ac05dbe2f20b7d3e60edc",
+        ("3,1,-1", 3, 5): "253cc1d1c982a6f0bbc52a7d21c930ab8af9cb4727546ec6a42b8a8466b8ebde",
+        ("1,1,1", 1, 3): "a60bd52d001a1c5914359b92453c289c1f6f5b83aa593d6f6786d72ef57c3417",
+        ("1,1,1", 1, 5): "ce220304450cfcf71f555b12f2b971152d1a7b8970f569705af2756436764762",
+        ("1,1,1", 3, 3): "52d37ff510d35ebecab96875a39598f188cc819fbd9f50752754fcb16adc0525",
+        ("1,1,1", 3, 5): "85ee6e0e43057e5b88ddaa3a459b3c30b1a2f4f510a81d5e0c1ed78717756a2e",
+        ("2,2,0,0", 1, 3): "6983e81769649b4a23456e4bca9039fe0773f8a99c87f26f1cdab20154d653bc",
+        ("2,2,0,0", 1, 5): "f3c5eb3a58c04d4151c2861e1fa38f52e1bc5ccda3afd7a099c43e2e55a6a394",
+        ("2,2,0,0", 3, 3): "39f8927542fbed06b16c179f4d3367790354ff04bcd9794da5c7eb7f1d7c23c4",
+        ("2,2,0,0", 3, 5): "2f913560651f637d62b94fc6ebd66eed91e9535cc021702ad3dd3b586fd90ffa",
+        ("2,2,0,0", 4, 3): "350bc77e4eb35841e11692a4969e9179b57a5dacdd78b4ab852636c0984c09c4",
+        ("2,2,0,0", 4, 5): "36d525216f479fee491c3f5bc049d2c7f498fbab7e9d36413ebe3b7d76972d09",
+    }
+
+    @pytest.mark.parametrize("signature, level, p", sorted(CORNER_DIST))
+    def test_corner_dist_monte_carlo(self, capsys, signature, level, p):
+        argv = ["corner-dist", "--signature", signature, "--level", str(level), "--p", str(p),
+                "--monte-carlo", "1000", "--seed", "17"]
+        assert run(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.CORNER_DIST[signature, level, p]
+
+
 class TestHlEval:
     def test_value(self, capsys):
         assert (

@@ -31,6 +31,7 @@ from padic_rmt.errors import PrecisionExhausted
 from padic_rmt.padic import (
     Prime,
     Signature,
+    _certified_precision,
     corner,
     minor_profile_masks,
     smith_singular_numbers,
@@ -371,3 +372,56 @@ class TestLeftFactor:
             for i in range(n)
         ]
         assert _profile_or_none(ud, p, precision) == _profile_or_none(udv, p, precision)
+
+
+@st.composite
+def _bi_invariant_laws(draw):
+    """A FixedSN law with n <= 5 or a GSpFixedSN law with n in (2, 4), of
+    spread <= 6 (0: all parts equal) and smallest part in [-2, 2], at
+    p in {2, 3, 5}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    shift = draw(st.integers(-2, 2))
+    spread = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        # balanced: part i and part 2h+1-i sum to the spread
+        half = draw(st.integers(1, 2))
+        rest = draw(st.lists(st.integers(-(-spread // 2), spread), min_size=half - 1, max_size=half - 1))
+        top = [spread] + sorted(rest, reverse=True)
+        d, kind = top + [spread - x for x in reversed(top)], GSpFixedSN
+    else:
+        n = draw(st.integers(1, 5))
+        mid = draw(st.lists(st.integers(0, spread), min_size=n - 2, max_size=n - 2)) if n > 1 else []
+        d = [spread] + sorted(mid, reverse=True) + [0] if n > 1 else [0]
+        kind = FixedSN
+    lam = Signature(tuple(x + shift for x in d))
+    return EnsembleSpec(Prime(p), len(lam), kind(lam)), d
+
+
+class TestCertifiedPrecision:
+    """weight(lam - shift) + 1 digits of U * diag(p^(lam - shift)) * V
+    certify every row-subset profile entry and every row corner's singular
+    numbers, and no fewer digits do."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(law=_bi_invariant_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_the_bound_certifies_the_engine_and_the_corners(self, law, seed):
+        spec, d = law
+        lam, p, n = spec.kind.lam, spec.p.p, spec.n
+        bound = sum(d) + 1
+        assert _certified_precision(lam.parts, spec.precision_base) == bound
+        rng = RngStream(seed, 0)
+        for step in (1, 2):
+            grid, shift, n_used = step_grid(spec, rng, step, bound)
+            wide, wide_shift, wide_used = step_grid(spec, rng, step)
+            assert (shift, n_used, wide_used) == (wide_shift, bound, lam.spread() + spec.precision_base)
+            assert minor_profile_masks(grid, p, bound) == minor_profile_masks(wide, p, wide_used)
+        narrow = sample_bi_invariant(lam, n, n, p, bound, rng, ("bi",))
+        wide = sample_bi_invariant(lam, n, n, p, None, rng, ("bi",))
+        for level in range(1, n + 1):
+            assert smith_singular_numbers(corner(narrow, level)) == smith_singular_numbers(corner(wide, level))
+        if sum(d):
+            # the bound is tight: diag(p^d)'s full minor p^weight(d) vanishes
+            # mod p^weight(d)
+            diag = [[p**x if i == j else 0 for j in range(n)] for i, x in enumerate(d)]
+            with pytest.raises(PrecisionExhausted):
+                minor_profile_masks([[x % p ** sum(d) for x in row] for row in diag], p, sum(d))

@@ -179,6 +179,21 @@ def test_fixed_10_engine_skips_the_right_factor(monkeypatch):
     assert _fixed_10_hashes_per_step(monkeypatch) <= 3.0
 
 
+@pytest.mark.parametrize("p, samples, most", [(3, 400, 4.0), (257, 100, 6.0)])
+def test_corner_dist_reads_only_the_certified_digits(monkeypatch, capsys, p, samples, most):
+    """The Monte-Carlo draws of corner-dist read weight(lambda - shift) + 1
+    digits, 4 for (2, 1, 0), not spread + base: at spread + base they read
+    5.5 blocks per sample at p = 3 and 28 at p = 257."""
+    from padic_rmt.cli import main
+
+    seen = _count_hashes(monkeypatch)
+    argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", str(p),
+            "--monte-carlo", str(samples), "--seed", "7"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) / samples <= most
+
+
 def test_mixture_pick_is_drawn_once_per_step(monkeypatch):
     from padic_rmt.presets import build_preset
     from padic_rmt.processes import as_source, iter_coupled_steps
