@@ -13,7 +13,9 @@ block included, is reproducible.
 
 simulate and gsp-simulate run their trials on --jobs worker processes
 (the pool the experiments use); the files are the same for any --jobs.
-metadata.json is written only when every trial succeeded.
+metadata.json is written only when every trial succeeded.  corner-dist
+--monte-carlo splits its samples into one contiguous block per worker on
+that pool; its stdout is the same for any --jobs.
 """
 
 from __future__ import annotations
@@ -23,19 +25,20 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .ensembles import EnsembleSpec
+from .ensembles import DEFAULT_PRECISION_BASE, EnsembleSpec
 from .errors import BadConfiguration, PadicRmtError
 from .hall_littlewood import (
     corner_distribution,
     hl_p_eval,
     kth_corner_distribution,
 )
-from .padic import Prime, Signature
+from .padic import Prime, Signature, _certified_precision
 from .presets import build_preset, preset_names
 from .processes import as_source, run_coupled_trajectory
 from .rng import RngStream
@@ -182,11 +185,28 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _corner_block(sig, level, p, precision, seed, block: range) -> Counter:
+    """The corner singular numbers of Monte-Carlo samples `block`, counted,
+    in this process or a pool worker.  The samplers are looked up at call
+    time, so a wrapper installed on their modules sees every draw."""
+    from .ensembles import sample_bi_invariant
+    from .padic import corner, smith_singular_numbers
+
+    rng = RngStream(seed, 0)
+    n = len(sig)
+    return Counter(
+        smith_singular_numbers(corner(sample_bi_invariant(sig, n, n, p, precision, rng, ("mc", i)), level))
+        for i in block
+    )
+
+
 def cmd_corner_dist(args) -> int:
     sig = _parse_signature(args.signature)
     Prime(args.p)
     if args.monte_carlo < 0:
         raise BadConfiguration("--monte-carlo must be >= 0")
+    if args.jobs < 1:
+        raise BadConfiguration("--jobs must be >= 1")
     seed = _seed_from(args) if args.monte_carlo else None
     t = Fraction(1, args.p)
     level = args.level
@@ -198,22 +218,23 @@ def cmd_corner_dist(args) -> int:
     for entry in dist.to_json_entries():
         print(f"  {tuple(entry['signature'])}: {entry['prob']}")
     if args.monte_carlo:
-        from .ensembles import DEFAULT_PRECISION_BASE, sample_bi_invariant
-        from .padic import _certified_precision, corner, smith_singular_numbers
-
         # the digits every corner's singular numbers can read: the same
         # draws as at the sampler's default precision, reduced
         precision = _certified_precision(sig.parts, DEFAULT_PRECISION_BASE)
-        rng = RngStream(seed, 0)
-        counts: dict[Signature, int] = {}
-        for i in range(args.monte_carlo):
-            mat = sample_bi_invariant(sig, len(sig), len(sig), args.p, precision, rng, ("mc", i))
-            sn = smith_singular_numbers(corner(mat, level))
-            counts[sn] = counts.get(sn, 0) + 1
+        samples = args.monte_carlo
+        # one contiguous block per worker; a sample is a function of its
+        # path alone, and adding the counts in block order gives the
+        # dict a serial run fills, key order included
+        blocks = min(args.jobs, samples)
+        bounds = [samples * b // blocks for b in range(blocks + 1)]
+        run_block = partial(_corner_block, sig, level, args.p, precision, seed)
+        counts = Counter()
+        for part in map_trials(run_block, [range(a, b) for a, b in zip(bounds, bounds[1:])], blocks):
+            counts.update(part)
         tv = tv_distance(counts, dist)
-        print(f"empirical ({args.monte_carlo} samples):")
+        print(f"empirical ({samples} samples):")
         for sn in sorted(counts, key=lambda s: s.parts, reverse=True):
-            print(f"  {sn.parts}: {counts[sn] / args.monte_carlo:.5f}")
+            print(f"  {sn.parts}: {counts[sn] / samples:.5f}")
         print(f"TV distance: {float(tv):.5f}")
     return 0
 
@@ -298,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=int, default=2, help="corner index (2 = one row shorter)")
     sp.add_argument("--monte-carlo", type=int, default=0, metavar="N")
     sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sp.set_defaults(func=cmd_corner_dist)
 
     sp = sub.add_parser("hl-eval", help="evaluate a symmetric-function value exactly")

@@ -6,6 +6,8 @@ benchmark run."""
 import ast
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -141,9 +143,34 @@ def test_traced_corner_dist_draws_two_haar_factors_per_sample(tracer, capsys):
 
     samples = 40
     argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", "3",
-            "--monte-carlo", str(samples), "--seed", "5"]
+            "--monte-carlo", str(samples), "--seed", "5", "--jobs", "1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert tracer.calls.get("ensembles.sample_bi_invariant") == samples
     assert tracer.calls.get("ensembles.haar_gl") == 2 * samples
     assert tracer.edges.get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 2 * samples
+
+
+@pytest.mark.usefixtures("bench")
+def test_traced_pooled_corner_dist_counts_every_worker_draw(tmp_path):
+    """corner-dist --jobs 2 draws its samples in pool workers: the tracer,
+    run as the benchmark runs it, writes one file per process, and their
+    sum holds every draw the GL3(F3) acceptance check counts."""
+    merge_traces = importlib.import_module("run").merge_traces
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    samples = 40
+    argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", "3",
+            "--monte-carlo", str(samples), "--seed", "5", "--jobs", "2"]
+    src = str(BENCHMARK_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(BENCHMARK_DIR / "tracing.py"), str(trace_dir), "--", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(list(trace_dir.glob("trace-*.json"))) > 1
+    agg = merge_traces(trace_dir)
+    assert agg["calls"].get("ensembles.sample_bi_invariant") == samples
+    assert agg["calls"].get("ensembles.haar_gl") == 2 * samples
+    assert agg["edges"].get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 2 * samples

@@ -91,6 +91,13 @@ MALFORMED = {
         ["--signature", "2,0", "--points", "1", "--t", "1/2"],
         None,
     ),
+    "corner-dist-jobs-zero": ("corner-dist", None, ["--signature", "1,0", "--jobs", "0"], None),
+    "corner-dist-jobs-negative": (
+        "corner-dist",
+        None,
+        ["--signature", "1,0", "--monte-carlo", "10", "--jobs", "-2"],
+        None,
+    ),
 }
 
 
@@ -114,6 +121,8 @@ NAMED_FIELD = {
     "spec-mixture-probability-true": "'kind'",
     "spec-mixture-probability-float": "'kind'",
     "spec-haar-entries-payload": "'kind'",
+    "corner-dist-jobs-zero": "--jobs",
+    "corner-dist-jobs-negative": "--jobs",
 }
 
 
@@ -126,7 +135,7 @@ def malformed_argv(name, tmp_path, monkeypatch=None) -> list[str]:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    if command != "hl-eval":
+    if command not in ("hl-eval", "corner-dist"):
         argv += ["--out", str(tmp_path / "out")]
     if seed is not None and monkeypatch is not None:
         monkeypatch.setenv("PADIC_RMT_SEED", seed)
@@ -497,6 +506,32 @@ class TestCornerDist:
         assert "TV distance" in out
         tv = float(out.rsplit("TV distance:", 1)[1])
         assert tv <= 0.05
+
+
+class TestCornerDistJobs:
+    """corner-dist splits its samples over --jobs workers; stdout is the
+    same for every split."""
+
+    @pytest.mark.parametrize("p", [2, 3, 257])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_stdout_is_the_same_for_any_jobs(self, capsys, p, level):
+        argv = ["corner-dist", "--signature", "2,1,0", "--level", str(level), "--p", str(p),
+                "--monte-carlo", "60", "--seed", "19"]
+        outs = []
+        for jobs in (1, 2, 3):
+            assert run(argv + ["--jobs", str(jobs)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "empirical (60 samples)" in outs[0]
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("samples, jobs", [(1, 2), (1, 3), (2, 3)])
+    def test_fewer_samples_than_jobs(self, capsys, samples, jobs):
+        argv = ["corner-dist", "--signature", "2,1,0", "--p", "3",
+                "--monte-carlo", str(samples), "--seed", "19"]
+        assert run(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert run(argv + ["--jobs", str(jobs)]) == 0
+        assert capsys.readouterr().out == serial
 
 
 class TestSamplerGolden:
