@@ -11,11 +11,11 @@ the simulate metadata JSON, and `runtime_seconds` in an experiment report
 written with --out; everything else in both files, the report's `counters`
 block included, is reproducible.
 
-simulate and gsp-simulate run their trials on --jobs worker processes
-(the pool the experiments use); the files are the same for any --jobs.
-metadata.json is written only when every trial succeeded.  corner-dist
---monte-carlo splits its samples into one contiguous block per worker on
-that pool; its stdout is the same for any --jobs.
+Every pooled command (simulate, gsp-simulate, lln, clt, bounded-diff and
+corner-dist --monte-carlo) runs on one pool shape, stats.map_blocks: its
+trials or samples are cut into one contiguous block per worker, never more
+workers than items, and its outputs are the same for any --jobs.
+metadata.json is written only when every trial succeeded.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .rng import RngStream
 from .selftest import run_selftest
 from .stats import (
     ExperimentConfig,
-    map_trials,
+    map_blocks,
     run_bounded_difference_experiment,
     run_clt_experiment,
     run_lln_experiment,
@@ -131,16 +131,19 @@ def _write_trajectory_csv(path: Path, traj, check_balanced: bool) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _simulate_trial(
-    source, k_max, seed, with_interpolation, out, check_balanced, trial
+def _simulate_block(
+    source, k_max, seed, with_interpolation, out, check_balanced, block: range
 ) -> list[dict]:
-    """One simulate trial, in this process or a pool worker: write its CSV
-    and return its escalations for metadata.json."""
-    traj = run_coupled_trajectory(
-        source, k_max, RngStream(seed, trial), with_interpolation=with_interpolation
-    )
-    _write_trajectory_csv(out / f"trajectory_{trial:04d}.csv", traj, check_balanced)
-    return [{"trial": trial, "step": k, "from": a, "to": b} for k, a, b in traj.escalations]
+    """One block of simulate trials, in this process or a pool worker: write
+    their CSVs and return their escalations for metadata.json, in order."""
+    escalations = []
+    for trial in block:
+        traj = run_coupled_trajectory(
+            source, k_max, RngStream(seed, trial), with_interpolation=with_interpolation
+        )
+        _write_trajectory_csv(out / f"trajectory_{trial:04d}.csv", traj, check_balanced)
+        escalations += [{"trial": trial, "step": k, "from": a, "to": b} for k, a, b in traj.escalations]
+    return escalations
 
 
 def cmd_simulate(args, symplectic: bool = False) -> int:
@@ -156,13 +159,13 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     source = as_source(source_spec)
     with_interpolation = bool(args.with_interpolation)
-    run_trial = partial(
-        _simulate_trial, source, args.kmax, seed, with_interpolation, out, check_balanced
+    run_block = partial(
+        _simulate_block, source, args.kmax, seed, with_interpolation, out, check_balanced
     )
     # header-only files (--kmax 0) are not worth starting workers for
     jobs = args.jobs if args.kmax > 0 else 1
     try:
-        per_trial = map_trials(run_trial, list(range(args.trials)), jobs)
+        per_block = map_blocks(run_block, args.trials, jobs)
     except OSError as exc:
         raise OSError(f"cannot write trajectory: {exc}") from exc
     meta = {
@@ -172,7 +175,7 @@ def cmd_simulate(args, symplectic: bool = False) -> int:
         "trials": args.trials,
         "with_interpolation": with_interpolation,
         "source": source.describe(),
-        "escalations": [e for escalations in per_trial for e in escalations],
+        "escalations": [e for escalations in per_block for e in escalations],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -222,14 +225,11 @@ def cmd_corner_dist(args) -> int:
         # draws as at the sampler's default precision, reduced
         precision = _certified_precision(sig.parts, DEFAULT_PRECISION_BASE)
         samples = args.monte_carlo
-        # one contiguous block per worker; a sample is a function of its
-        # path alone, and adding the counts in block order gives the
-        # dict a serial run fills, key order included
-        blocks = min(args.jobs, samples)
-        bounds = [samples * b // blocks for b in range(blocks + 1)]
+        # a sample is a function of its path alone, and adding the counts in
+        # block order gives the dict a serial run fills, key order included
         run_block = partial(_corner_block, sig, level, args.p, precision, seed)
         counts = Counter()
-        for part in map_trials(run_block, [range(a, b) for a, b in zip(bounds, bounds[1:])], blocks):
+        for part in map_blocks(run_block, samples, args.jobs):
             counts.update(part)
         tv = tv_distance(counts, dist)
         print(f"empirical ({samples} samples):")

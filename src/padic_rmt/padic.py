@@ -38,7 +38,7 @@ IntVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Prime:
-    """A (small) prime, verified at construction by trial division."""
+    """A prime below 2^32, verified at construction by trial division."""
 
     p: int
 
@@ -46,6 +46,8 @@ class Prime:
         p = self.p
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"not a prime: {p!r}")
+        if p >= 2**32:
+            raise ValueError(f"p = {p} is too large: primes must be below 2^32")
         d = 2
         while d * d <= p:
             if p % d == 0:

@@ -159,7 +159,7 @@ def _report(
 
 
 # ---------------------------------------------------------------------------
-# Trial execution (module-level functions so process pools can pickle them)
+# Trial execution, one contiguous block per worker (module level, so picklable)
 # ---------------------------------------------------------------------------
 
 
@@ -196,25 +196,30 @@ def _terminal_stats(source, k_max: int, master_seed: int, trial: int) -> TrialRe
     return TrialResult(lam, v, m_q1, m_q2, m, len(escalations))
 
 
-def map_trials(fn, tasks: list, jobs: int) -> list:
-    """[fn(t) for t in tasks], in task order.  With jobs > 1 and at least two
-    tasks, on min(jobs, len(tasks)) worker processes started with the
+def map_blocks(fn, count: int, jobs: int) -> list:
+    """[fn(block) for block in blocks], where range(count) is cut into
+    min(jobs, count) contiguous blocks at count * b // workers.  With two or
+    more blocks, each runs on its own worker process, started with the
     platform's default method (fork on Linux, which spares each worker an
     interpreter start); otherwise in this process.  fn must be picklable,
     and an exception it raises in a worker is raised here."""
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, count)
+    blocks = [range(count * b // workers, count * (b + 1) // workers) for b in range(workers)]
     if workers < 2:
-        return [fn(t) for t in tasks]
+        return [fn(block) for block in blocks]
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, blocks))
+
+
+def _trial_block(source, k_max: int, master_seed: int, block: range) -> list[TrialResult]:
+    return [_terminal_stats(source, k_max, master_seed, trial) for trial in block]
 
 
 def _run_trials(config: ExperimentConfig) -> list[TrialResult]:
-    run_trial = partial(_terminal_stats, config.source, config.k_max, config.master_seed)
-    return map_trials(run_trial, list(range(config.trials)), config.jobs)
+    run_block = partial(_trial_block, config.source, config.k_max, config.master_seed)
+    return [r for part in map_blocks(run_block, config.trials, config.jobs) for r in part]
 
 
 def _power_sums(results: list[TrialResult]) -> tuple[list, list, list, list]:

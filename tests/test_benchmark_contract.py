@@ -151,26 +151,49 @@ def test_traced_corner_dist_draws_two_haar_factors_per_sample(tracer, capsys):
     assert tracer.edges.get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 2 * samples
 
 
-@pytest.mark.usefixtures("bench")
-def test_traced_pooled_corner_dist_counts_every_worker_draw(tmp_path):
-    """corner-dist --jobs 2 draws its samples in pool workers: the tracer,
-    run as the benchmark runs it, writes one file per process, and their
-    sum holds every draw the GL3(F3) acceptance check counts."""
+def _traced_in_subprocess(trace_dir: Path, argv: list[str], codes=(0,)) -> tuple[int, dict]:
+    """Run the tracer as the benchmark runs it, on padic-rmt argv, which must
+    exit with one of codes; return the number of per-process trace files it
+    wrote and their sum."""
     merge_traces = importlib.import_module("run").merge_traces
-    trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
-    samples = 40
-    argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", "3",
-            "--monte-carlo", str(samples), "--seed", "5", "--jobs", "2"]
     src = str(BENCHMARK_DIR.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, str(BENCHMARK_DIR / "tracing.py"), str(trace_dir), "--", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    assert len(list(trace_dir.glob("trace-*.json"))) > 1
-    agg = merge_traces(trace_dir)
+    assert done.returncode in codes, done.stderr
+    return len(list(trace_dir.glob("trace-*.json"))), merge_traces(trace_dir)
+
+
+@pytest.mark.usefixtures("bench")
+def test_traced_pooled_corner_dist_counts_every_worker_draw(tmp_path):
+    """corner-dist --jobs 2 draws its samples in pool workers: the tracer,
+    run as the benchmark runs it, writes one file per process, and their
+    sum holds every draw the GL3(F3) acceptance check counts."""
+    samples = 40
+    argv = ["corner-dist", "--signature", "2,1,0", "--level", "2", "--p", "3",
+            "--monte-carlo", str(samples), "--seed", "5", "--jobs", "2"]
+    files, agg = _traced_in_subprocess(tmp_path / "trace", argv)
+    assert files > 1
     assert agg["calls"].get("ensembles.sample_bi_invariant") == samples
     assert agg["calls"].get("ensembles.haar_gl") == 2 * samples
     assert agg["edges"].get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= 2 * samples
+
+
+@pytest.mark.usefixtures("bench")
+def test_traced_pooled_clt_counts_every_worker_step(tmp_path):
+    """clt --jobs 2 runs its trial blocks in pool workers: the per-process
+    trace files together hold one processes.step span and one Haar draw per
+    coupled step, as the clt workload's traced checks count them, under
+    one trial runner in the parent."""
+    steps = 8 * 5
+    argv = ["clt", "--preset", "fixed-10", "--kmax", "8", "--trials", "5", "--jobs", "2",
+            "--seed", "1", "--out", str(tmp_path / "clt.json")]
+    files, agg = _traced_in_subprocess(tmp_path / "trace", argv, codes=(0, 2))
+    assert files > 1
+    assert agg["calls"].get("processes.step") == steps
+    assert agg["calls"].get("ensembles.haar_gl") == steps
+    assert agg["edges"].get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= steps
+    assert agg["calls"].get("stats.run_trials") == 1

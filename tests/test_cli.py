@@ -13,7 +13,7 @@ import padic_rmt
 from padic_rmt import processes, selftest
 from padic_rmt.cli import main
 from padic_rmt.padic import MAX_PROFILE_ROWS
-from padic_rmt.stats import map_trials
+from padic_rmt.stats import map_blocks
 
 ESCALATING_SPEC = {"p": 2, "n": 3, "precision_base": 4, "kind": {"CornerOfHaar": 4}}
 SRC = str(Path(padic_rmt.__file__).resolve().parents[1])
@@ -98,6 +98,9 @@ MALFORMED = {
         ["--signature", "1,0", "--monte-carlo", "10", "--jobs", "-2"],
         None,
     ),
+    # a Mersenne prime too large to check by trial division
+    "corner-dist-p-2^61-1": ("corner-dist", None, ["--signature", "1,0", "--p", str(2**61 - 1)], None),
+    "spec-p-2^61-1": ("simulate", {**SPEC_10, "p": 2**61 - 1}, [], None),
 }
 
 
@@ -329,7 +332,7 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
+    def map(self, fn, iterable):
         return map(fn, iterable)
 
 
@@ -366,11 +369,11 @@ class TestSimulatePool:
         else:
             argv = ["gsp-simulate", "--preset", law, "--kmax", "60", "--trials", "2"]
         outputs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             out = tmp_path / f"jobs{jobs}"
             assert run(argv + ["--seed", "7", "--jobs", jobs, "--out", str(out)]) == 0
             outputs.append(_outputs(out))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         if law == "escalating-spec":
             # escalations in more than one trial, listed in trial order
             trials = [e["trial"] for e in outputs[0]["metadata.json"]["escalations"]]
@@ -415,12 +418,24 @@ class TestSimulatePool:
         assert pool_sizes == [2]
 
     def test_pool_is_capped_at_the_trial_count(self, tmp_path, pool_sizes):
-        assert map_trials(abs, [-1, 2, -3], 64) == [1, 2, 3]
+        # min(jobs, count) contiguous blocks, in order; a pool only for two or more
+        assert map_blocks(list, 7, 3) == [[0, 1], [2, 3], [4, 5, 6]]
+        assert map_blocks(list, 3, 64) == [[0], [1], [2]]
+        assert map_blocks(list, 5, 1) == [[0, 1, 2, 3, 4]]
+        assert map_blocks(list, 1, 8) == [[0]]
+        assert pool_sizes == [3, 3]
+        for count in range(1, 12):
+            for jobs in range(1, 14):
+                blocks = map_blocks(list, count, jobs)
+                assert len(blocks) == min(jobs, count)
+                assert [i for block in blocks for i in block] == list(range(count))
+                assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+        before = len(pool_sizes)
         argv = ["clt", "--preset", "fixed-10", "--kmax", "8", "--trials", "2", "--seed", "1"]
         run(argv + ["--jobs", "16", "--out", str(tmp_path / "clt.json")])
         argv = ["simulate", "--preset", "fixed-10", "--kmax", "5", "--trials", "3"]
         assert run(argv + ["--jobs", "16", "--out", str(tmp_path / "sim")]) == 0
-        assert pool_sizes == [3, 2, 3]
+        assert pool_sizes[before:] == [2, 3]
 
 
 class TestPresets:
