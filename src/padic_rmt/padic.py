@@ -8,6 +8,9 @@ the singular numbers of the integral part plus the shift, componentwise.
 An entry whose residue is 0 but is not flagged as an exact zero only means
 "zero to precision N".  Every algorithm here either certifies its answer
 from the stored digits or raises PrecisionExhausted; it never guesses.
+
+minor_profile_masks certifies a row-subset minor-valuation profile, and
+_sn_scaled_rows, the one profile reader, turns it into singular numbers.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ class Prime:
         return self.p
 
 
+@lru_cache(maxsize=256, typed=True)
 def _p_int(p: Prime | int) -> int:
+    """The prime as an int; a plain int is validated once (typed: not 2.0)."""
     if isinstance(p, Prime):
         return p.p
     Prime(p)  # validate
@@ -499,9 +504,9 @@ def smith_singular_numbers(a: PadicMatrix) -> Signature:
 
 # ---------------------------------------------------------------------------
 # Singular numbers via minors (independent oracle, and the profile used by
-# the process engine).  Determinants are first-row cofactor expansions of
-# the residues mod p^N on row and column bitmasks, planned once per shape;
-# they share no code with the elimination above.
+# the process engine; _sn_scaled_rows reads both).  Determinants are
+# first-row cofactor expansions of the residues mod p^N on row and column
+# bitmasks, planned once per shape; they share no code with elimination.
 # ---------------------------------------------------------------------------
 
 
@@ -603,6 +608,55 @@ def _minor_exactly_zero(
     )
 
 
+def _bottom_rows(n: int, j: int) -> list[list[tuple[int, int, int, int]]]:
+    """The nonempty subsets of the bottom j of n rows, grouped by size, as
+    (submask, row mask, rest, low) tuples: bit b of the submask picks the
+    b-th of those rows, the row mask names the same rows among all n, and
+    rest is the submask without its lowest row, the low-th."""
+    table: list[list[tuple[int, int, int, int]]] = [[] for _ in range(j + 1)]
+    for mask in range(1, 1 << j):
+        low = (mask & -mask).bit_length() - 1
+        table[mask.bit_count()].append((mask, mask << (n - j), mask & (mask - 1), low))
+    return table
+
+
+def _sn_scaled_rows(
+    dparts: list[int],
+    g: list[int | None],
+    shift: int,
+    rows: list[list[tuple[int, int, int, int]]],
+) -> list[int]:
+    """Singular numbers (non-increasing) of diag(p^dparts) * (the rows of
+    the table `rows`, see _bottom_rows), from the profile g (see
+    minor_profile_masks) and shift of the matrix; dparts[t] scales the t-th
+    of those rows.  The engine's updates and the minors oracle all read
+    through it.  A size with no entry has only exactly-zero minors."""
+    size = len(dparts)
+    # dsum over the submasks of the selected rows, each built from its rest
+    # one size earlier
+    dsum = [0] * (1 << size)
+    parts = [0] * size
+    s_prev = 0
+    for c in range(1, size + 1):
+        best = None
+        for mask, row_mask, rest, low in rows[c]:
+            d = dsum[mask] = dsum[rest] + dparts[low]
+            gv = g[row_mask]
+            if gv is None:
+                continue
+            val = d + gv
+            if best is None or val < best:
+                best = val
+        if best is None:
+            raise SingularMatrix(f"every {c}x{c} minor of the rows is exactly zero")
+        parts[size - c] = best - s_prev + shift
+        s_prev = best
+    for i in range(size - 1):
+        if parts[i] < parts[i + 1]:
+            raise InequalityViolated(f"scaled minor sums are not concave: {parts}")
+    return parts
+
+
 def minor_valuation_profile(a: PadicMatrix) -> dict[frozenset[int], int]:
     """Row-subset minor-valuation minima of the integral part, keyed by the
     row subset (shift of the matrix NOT added)."""
@@ -617,25 +671,8 @@ def minor_valuation_profile(a: PadicMatrix) -> dict[frozenset[int], int]:
 
 def singular_numbers_via_minors(a: PadicMatrix) -> Signature:
     """Exponential minors oracle: the sum of the k smallest singular numbers
-    equals the minimum valuation over all k x k minors. Test-scale only."""
+    equals the minimum valuation over all k x k minors, read off the profile
+    by the engine's reader with every row unscaled. Test-scale only."""
+    g = minor_profile_masks(a.residues, a.p, a.precision, a.exact_zeros)
     rows = a.rows
-    if rows > 5:
-        raise DimensionMismatch("minors oracle supported for at most 5 rows")
-    if rows > a.cols:
-        raise DimensionMismatch("rows must be <= cols")
-    masks = minor_profile_masks(a.residues, a.p, a.precision, a.exact_zeros)
-    sums = [0] * (rows + 1)
-    for k in range(1, rows + 1):
-        level = [
-            masks[m] for m in range(1, 1 << rows)
-            if bin(m).count("1") == k and masks[m] is not None
-        ]
-        if not level:
-            raise SingularMatrix(f"every {k}x{k} minor is exactly zero")
-        sums[k] = min(level)
-    parts = [sums[k] - sums[k - 1] for k in range(1, rows + 1)]
-    parts.reverse()
-    for i in range(rows - 1):
-        if parts[i] < parts[i + 1]:
-            raise InequalityViolated(f"minor sums are not concave: {parts}")
-    return Signature(tuple(x + a.shift for x in parts))
+    return Signature(tuple(_sn_scaled_rows([0] * rows, g, a.shift, _bottom_rows(rows, rows))))

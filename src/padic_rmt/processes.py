@@ -11,6 +11,8 @@ The engine advances both sequences from the step matrix's row-subset
 minor-valuation profile: a minor that picks rows I of diag(p^d) * A has
 valuation (sum of d over I) + (valuation of the matching minor of A), so
 the update is exact integer arithmetic once the profile is certified.
+The profile reader and its row tables (padic._sn_scaled_rows and
+padic._bottom_rows) live beside the kernel that builds the profile.
 The public product_step keeps the direct route (scale, multiply,
 eliminate) and the two routes are checked against each other in tests.
 """
@@ -21,12 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ensembles import EnsembleSpec, draw_step_matrix, step_grid, step_signature
-from .errors import ConstraintViolated, InequalityViolated, PrecisionExhausted
+from .errors import ConstraintViolated, PrecisionExhausted
 from .padic import (
     IntVector,
     PadicMatrix,
     Signature,
+    _bottom_rows,
     _certified_precision,
+    _sn_scaled_rows,
     corner,
     diag_signature,
     matmul,
@@ -149,10 +153,8 @@ class TrajectoryStep:
 @dataclass
 class Trajectory:
     n: int
-    p: int
     steps: list[TrajectoryStep]
     escalations: list[tuple[int, int, int]] = field(default_factory=list)
-    source: dict = field(default_factory=dict)
 
     @property
     def k_max(self) -> int:
@@ -162,53 +164,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Profile-based exact updates
 # ---------------------------------------------------------------------------
-
-
-def _bottom_rows(n: int, j: int) -> list[list[tuple[int, int, int, int]]]:
-    """The nonempty subsets of the bottom j of n rows, grouped by size, as
-    (submask, row mask, rest, low) tuples: bit b of the submask picks the
-    b-th of those rows, the row mask names the same rows among all n, and
-    rest is the submask without its lowest row, the low-th."""
-    table: list[list[tuple[int, int, int, int]]] = [[] for _ in range(j + 1)]
-    for mask in range(1, 1 << j):
-        low = (mask & -mask).bit_length() - 1
-        table[mask.bit_count()].append((mask, mask << (n - j), mask & (mask - 1), low))
-    return table
-
-
-def _sn_scaled_rows(
-    dparts: list[int],
-    g: list[int | None],
-    shift: int,
-    rows: list[list[tuple[int, int, int, int]]],
-) -> list[int]:
-    """Singular numbers (non-increasing) of diag(p^dparts) * (the rows of
-    the table `rows`, see _bottom_rows), from the step matrix's profile g
-    and shift; dparts[t] scales the t-th of those rows."""
-    size = len(dparts)
-    # dsum over the submasks of the selected rows, each built from its rest
-    # one size earlier
-    dsum = [0] * (1 << size)
-    parts = [0] * size
-    s_prev = 0
-    for c in range(1, size + 1):
-        best = None
-        for mask, row_mask, rest, low in rows[c]:
-            d = dsum[mask] = dsum[rest] + dparts[low]
-            gv = g[row_mask]
-            if gv is None:
-                continue
-            val = d + gv
-            if best is None or val < best:
-                best = val
-        if best is None:
-            raise PrecisionExhausted(f"no certified minor on {c} of the rows")
-        parts[size - c] = best - s_prev + shift
-        s_prev = best
-    for i in range(size - 1):
-        if parts[i] < parts[i + 1]:
-            raise InequalityViolated(f"scaled minor sums are not concave: {parts}")
-    return parts
 
 
 def iter_coupled_steps(
@@ -299,13 +254,7 @@ def run_coupled_trajectory(
                 interpolation=interp,
             )
         )
-    return Trajectory(
-        n=source.n,
-        p=source.p,
-        steps=steps,
-        escalations=escalations,
-        source=source.describe(),
-    )
+    return Trajectory(n=source.n, steps=steps, escalations=escalations)
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,10 @@ def _report(
 
 
 class TrialResult(NamedTuple):
-    """Terminal vectors, running max |lam - v| at the quarter, half and full
-    horizon, and the number of precision escalations of one trial."""
+    """The terminal product vector, running max |lam - v| at the half and
+    full horizon, and the number of precision escalations of one trial."""
 
     lam: tuple
-    v: tuple
-    max_gap_q1: int
     max_gap_q2: int
     max_gap: int
     escalations: int
@@ -177,23 +175,20 @@ class TrialResult(NamedTuple):
 
 def _terminal_stats(source, k_max: int, master_seed: int, trial: int) -> TrialResult:
     """One trial: terminal products vector plus running max |lam - v| at the
-    quarter, half and full horizon."""
+    half and full horizon."""
     rng = RngStream(master_seed, trial)
-    q1, q2 = k_max // 4, k_max // 2
-    m = 0
-    m_q1 = m_q2 = 0
-    lam = v = None
+    q2 = k_max // 2
+    m = m_q2 = 0
+    lam = None
     escalations: list = []
     steps = iter_coupled_steps(source, k_max, rng, escalation_log=escalations)
     for k, lam, v, _w, _sn, _mg, _i in steps:
         for a, b in zip(lam, v):
             if abs(a - b) > m:
                 m = abs(a - b)
-        if k == q1:
-            m_q1 = m
         if k == q2:
             m_q2 = m
-    return TrialResult(lam, v, m_q1, m_q2, m, len(escalations))
+    return TrialResult(lam, m_q2, m, len(escalations))
 
 
 def map_blocks(fn, count: int, jobs: int) -> list:
@@ -281,16 +276,18 @@ def run_lln_experiment(config: ExperimentConfig) -> ExperimentReport:
     symplectic laws (no closed form here) check the balanced-pair symmetry
     of the estimates instead."""
     t0 = time.time()
+    spec = getattr(config.source, "spec", None)  # None for a deterministic source
+    pred = exact_lln_prediction(spec) if spec is not None else None
+    n = config.source.n
+    if pred is None and not (spec is not None and spec.is_symplectic and n >= 4):
+        raise BadConfiguration("lln needs a closed-form limit or a symplectic law with n >= 4")
     results = _run_trials(config)
     s1, s2, _s3, _s4 = _power_sums(results)
-    n = len(s1)
     k = config.k_max
     trials = config.trials
     means = [Fraction(s, trials * k) for s in s1]
     variances = [Fraction(s2[i][i], trials) - Fraction(s1[i], trials) ** 2 for i in range(n)]
     stderr = [math.sqrt(max(0.0, float(var)) / trials) / k for var in variances]
-    spec = getattr(config.source, "spec", None)  # None for a deterministic source
-    pred = exact_lln_prediction(spec) if spec is not None else None
     if pred is not None:
         checks = [
             (f"lln_coordinate_{i + 1}", str(x), float(m), abs(float(m - x)))

@@ -197,3 +197,18 @@ def test_traced_pooled_clt_counts_every_worker_step(tmp_path):
     assert agg["calls"].get("ensembles.haar_gl") == steps
     assert agg["edges"].get("ensembles.haar_gl>rng.sliced_first_digits", 0) >= steps
     assert agg["calls"].get("stats.run_trials") == 1
+
+
+@pytest.mark.usefixtures("bench")
+def test_traced_reader_counts_engine_calls_only(tmp_path):
+    """The engine reads each profile through the processes binding of
+    _sn_scaled_rows that the tracer wraps as processes.interp: once for the
+    product and once per interpolation level, so n = 3 calls per step.  The
+    minors oracle reads through its own padic binding, which is not engine
+    work and leaves no processes.interp span."""
+    argv = ["simulate", "--preset", "fixed-210", "--kmax", "20", "--trials", "2", "--jobs", "1",
+            "--with-interpolation", "--seed", "1", "--out", str(tmp_path / "runs")]
+    _files, agg = _traced_in_subprocess(tmp_path / "trace", argv)
+    assert agg["calls"].get("processes.interp") == 3 * 20 * 2
+    _files, agg = _traced_in_subprocess(tmp_path / "trace-oracle", ["selftest", "--filter", "oracle"])
+    assert agg["calls"].get("processes.interp", 0) == 0

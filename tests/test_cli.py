@@ -98,6 +98,14 @@ MALFORMED = {
         ["--signature", "1,0", "--monte-carlo", "10", "--jobs", "-2"],
         None,
     ),
+    # laws with no closed-form limit and no balanced pairs to compare
+    "lln-paper-counterexample": (
+        "lln",
+        None,
+        ["--preset", "paper-counterexample", "--kmax", "4", "--trials", "1", "--jobs", "1"],
+        None,
+    ),
+    "lln-gsp-2x2": ("lln", {**SIZES, "spec": {"p": 2, "n": 2, "kind": {"GSpFixedSN": ["1", "0"]}}}, [], None),
     # a Mersenne prime too large to check by trial division
     "corner-dist-p-2^61-1": ("corner-dist", None, ["--signature", "1,0", "--p", str(2**61 - 1)], None),
     "spec-p-2^61-1": ("simulate", {**SPEC_10, "p": 2**61 - 1}, [], None),

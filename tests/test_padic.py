@@ -16,12 +16,17 @@ from padic_rmt.errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from padic_rmt.ensembles import sample_bi_invariant, sample_haar_gl
+from padic_rmt import processes
+from padic_rmt.ensembles import EnsembleSpec, GSpFixedSN, sample_bi_invariant, sample_haar_gl
 from padic_rmt.padic import (
+    MAX_PROFILE_ROWS,
     PadicMatrix,
     PadicScalar,
     Prime,
     Signature,
+    _bottom_rows,
+    _p_int,
+    _sn_scaled_rows,
     corner,
     delete_row,
     diag_signature,
@@ -33,6 +38,7 @@ from padic_rmt.padic import (
     smith_singular_numbers,
     valuation,
 )
+from padic_rmt.processes import run_coupled_trajectory
 from padic_rmt.rng import RngStream
 
 
@@ -498,6 +504,57 @@ class TestProfile:
         assert again.residues == mat.residues
         assert again.shift == mat.shift
         assert again.precision == mat.precision
+
+
+class TestProfileReader:
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_six_rows_agree_with_elimination(self, p):
+        # the oracle reads MAX_PROFILE_ROWS rows through the engine's reader
+        rng = RngStream(19, p)
+        n = MAX_PROFILE_ROWS
+        for trial in range(4):
+            lam = random_signature(rng, (trial,), n, -1, 3)
+            mat = sample_bi_invariant(lam, n, n, p, None, rng, ("m", trial))
+            assert singular_numbers_via_minors(mat) == smith_singular_numbers(mat) == lam
+
+    def test_seven_rows_are_refused_by_the_kernel(self):
+        mat = PadicMatrix.identity(MAX_PROFILE_ROWS + 1, 2, 4)
+        with pytest.raises(DimensionMismatch, match="profile supported"):
+            singular_numbers_via_minors(mat)
+
+    def test_level_without_entry_is_singular(self):
+        # two rows whose single-row entries are all None: every 1x1 minor
+        # is exactly zero
+        with pytest.raises(SingularMatrix):
+            _sn_scaled_rows([0, 0], [None, None, None, None], 0, _bottom_rows(2, 2))
+
+    def test_engine_has_no_copy_of_its_own(self):
+        assert processes._sn_scaled_rows is _sn_scaled_rows
+        assert processes._bottom_rows is _bottom_rows
+
+
+class TestPrimeValidation:
+    def test_each_prime_is_validated_once_per_trajectory(self, monkeypatch):
+        # the GSp steps hand a plain int prime to the symplectic sampler on
+        # every draw; trial division of a prime near 2^32 must not rerun
+        p = 4294967291
+        spec = EnsembleSpec(Prime(p), 4, GSpFixedSN(Signature((1, 1, 0, 0))))
+        _p_int.cache_clear()
+        calls = []
+        check = Prime.__post_init__
+
+        def counted(self):
+            calls.append(self.p)
+            check(self)
+
+        monkeypatch.setattr(Prime, "__post_init__", counted)
+        run_coupled_trajectory(spec, 50, RngStream(5, 0))
+        assert len(calls) <= 1, calls
+
+    def test_cached_int_does_not_admit_a_float(self):
+        assert _p_int(2) == 2
+        with pytest.raises(ValueError):
+            _p_int(2.0)
 
 
 def _profile_cases():
